@@ -15,18 +15,18 @@ vet:
 # Static analysis gate: go vet plus the project-specific analyzer suite
 # — the reproducibility passes (determinism, rngfork, floatcmp,
 # fingerprint, errwrap) and the flow-sensitive concurrency-contract
-# passes (locksafe, goroleak, counterflow, ctxflow). CI runs this on
-# every push and pull request.
+# passes (locksafe, goroleak, ctxflow). CI runs this on every push and
+# pull request.
 lint: vet
 	$(GO) run ./cmd/additivity-lint ./...
 
-# Concurrency-contract gate alone: the four CFG/dataflow passes with
+# Concurrency-contract gate alone: the three CFG/dataflow passes with
 # the check list pinned, plus the suppression inventory (which fails on
 # malformed directives or unknown check names). The fleet/peer check
 # scripts run this before booting replicas: a replica whose locks leak
 # or whose goroutines cannot terminate must not reach a fleet test.
 lint-concurrency:
-	$(GO) run ./cmd/additivity-lint -checks locksafe,goroleak,counterflow,ctxflow ./...
+	$(GO) run ./cmd/additivity-lint -checks locksafe,goroleak,ctxflow ./...
 	$(GO) run ./cmd/additivity-lint -report-suppressions ./... >/dev/null
 
 test:

@@ -16,8 +16,6 @@
 //	              no by-value copy of lock-bearing structs
 //	goroleak    — every go statement has a provable termination tie;
 //	              loops observe their stop signal on every backedge
-//	counterflow — every terminal outcome path increments exactly one
-//	              stats counter; no mixed atomic/plain field access
 //	ctxflow     — request-scoped call chains thread ctx;
 //	              context.Background() is banned outside main, tests
 //	              and documented detached workers
@@ -51,7 +49,6 @@ import (
 	"strings"
 
 	"additivity/internal/analysis"
-	"additivity/internal/analysis/passes/counterflow"
 	"additivity/internal/analysis/passes/ctxflow"
 	"additivity/internal/analysis/passes/determinism"
 	"additivity/internal/analysis/passes/errwrap"
@@ -64,7 +61,6 @@ import (
 
 // all lists every registered pass.
 var all = []*analysis.Analyzer{
-	counterflow.Analyzer,
 	ctxflow.Analyzer,
 	determinism.Analyzer,
 	errwrap.Analyzer,

@@ -56,7 +56,6 @@ func TestSmoke(t *testing.T) {
 		"./internal/analysis/passes/errwrap/testdata/src/errwrapfix",
 		"./internal/analysis/passes/locksafe/testdata/src/locksafefix",
 		"./internal/analysis/passes/goroleak/testdata/src/goroleakfix",
-		"./internal/analysis/passes/counterflow/testdata/src/counterflowfix",
 		"./internal/analysis/passes/ctxflow/testdata/src/ctxflowfix",
 	}
 	out, code := runLint(t, root, bin, fixtures...)
@@ -65,7 +64,7 @@ func TestSmoke(t *testing.T) {
 	}
 	for _, check := range []string{
 		"(determinism)", "(rngfork)", "(floatcmp)", "(fingerprint)", "(errwrap)",
-		"(locksafe)", "(goroleak)", "(counterflow)", "(ctxflow)",
+		"(locksafe)", "(goroleak)", "(ctxflow)",
 	} {
 		if !strings.Contains(out, check) {
 			t.Errorf("fixture run: no %s finding in output:\n%s", check, out)
@@ -98,7 +97,7 @@ func TestListAndBadCheck(t *testing.T) {
 	}
 	for _, name := range []string{
 		"determinism", "rngfork", "floatcmp", "fingerprint", "errwrap",
-		"locksafe", "goroleak", "counterflow", "ctxflow",
+		"locksafe", "goroleak", "ctxflow",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)

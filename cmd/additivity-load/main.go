@@ -9,23 +9,21 @@
 //	additivity-load -url http://127.0.0.1:7909[,http://127.0.0.1:7910,...]
 //	                [-trace file.json | -gen uniform|skewed -jobs N
 //	                 -distinct N -seed N -platform name]
-//	                [-players N] [-balance least-loaded|round-robin]
+//	                [-players N]
 //	                [-out report.json]
 //	                [-write-trace file.json] [-statsz] [-digest]
 //	                [-chaos-drop P] [-chaos-slow P] [-chaos-seed N]
 //
-// -url takes a comma-separated replica list. -balance picks the fleet
-// policy: least-loaded (the default) steers every attempt to the
-// replica with the smallest polled /statsz queue plus local in-flight
-// count, penalising replicas that failed their last exchange;
-// round-robin restores the legacy position-modulo spread. Either way
-// a failed attempt — shed (429), draining (503) or a transport fault —
-// fails over to another replica, so a replica killed mid-trace costs
-// retries, not failures. -digest prints a combined sha256 over every
-// job result in
-// trace order — two replays of the same trace must print the same
-// digest, whatever the fleet did in between. -chaos-drop/-chaos-slow
-// inject seeded connection drops and slow-loris reads client-side.
+// -url takes a comma-separated replica list. Every attempt goes to the
+// replica with the smallest polled /statsz queued+running count plus
+// local in-flight count, penalising replicas that failed their last
+// exchange, and a failed attempt — shed (429), draining (503) or a
+// transport fault — fails over to another replica, so a replica killed
+// mid-trace costs retries, not failures. -digest prints a combined
+// sha256 over every job result in trace order — two replays of the
+// same trace must print the same digest, whatever the fleet did in
+// between. -chaos-drop/-chaos-slow inject seeded connection drops and
+// slow-loris reads client-side.
 //
 // With -trace, the named trace file is replayed. Otherwise a trace is
 // generated deterministically from (-gen, -jobs, -distinct, -seed,
@@ -69,8 +67,6 @@ func main() {
 	predictShare := flag.Float64("predict-share", 0, "fraction of identities built as analytic predict jobs")
 	zipf := flag.Float64("zipf", 1.2, "skewed mix Zipf exponent (must exceed 1; recorded in the trace header)")
 	players := flag.Int("players", 8, "concurrent players")
-	balance := flag.String("balance", loadgen.BalanceLeastLoaded,
-		"fleet replica-selection policy: least-loaded (polled /statsz queue depth) or round-robin")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the replay here (the player side of the load)")
 	out := flag.String("out", "", "write the final report JSON here (e.g. BENCH_PR6.json)")
 	writeTrace := flag.String("write-trace", "", "save the generated trace JSON here")
@@ -141,7 +137,6 @@ func main() {
 		BaseURLs: bases,
 		Trace:    trace,
 		Players:  *players,
-		Balance:  *balance,
 		Progress: func(p loadgen.ProgressSnapshot) {
 			fmt.Fprintf(os.Stderr, "t=%5.1fs submitted=%d completed=%d failed=%d\n",
 				p.ElapsedS, p.Submitted, p.Completed, p.Failed)

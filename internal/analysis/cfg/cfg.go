@@ -1,7 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and solves forward dataflow problems over them. It is
 // the foundation of the flow-sensitive concurrency passes (locksafe,
-// goroleak, counterflow, ctxflow): where the PR5 passes inspect
+// goroleak, ctxflow): where the reproducibility passes inspect
 // individual AST nodes, these need to reason about *paths* — "is the
 // shard mutex still held when this channel receive executes?", "does
 // every backedge of this heartbeat loop observe its stop signal?" —

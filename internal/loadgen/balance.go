@@ -9,23 +9,6 @@ import (
 	"time"
 )
 
-// Balance policies accepted by PlayConfig.Balance.
-const (
-	// BalanceLeastLoaded steers every attempt to the replica with the
-	// lowest observed load: the queued+running gauge from a background
-	// /statsz probe plus the jobs this replay already has in flight
-	// against it. Replicas that failed their last exchange or probe
-	// carry a penalty until they answer again, so a dead replica costs
-	// at most the attempts in flight when it died — later picks route
-	// around it instead of rediscovering the corpse round-robin style.
-	// The default for fleets.
-	BalanceLeastLoaded = "least-loaded"
-	// BalanceRoundRobin is the legacy fleet policy: trace position i,
-	// attempt a goes to replica (i+a) mod n. Kept for A/B runs against
-	// the least-loaded picker.
-	BalanceRoundRobin = "round-robin"
-)
-
 // statsPollInterval is the cadence of each replica's background
 // /statsz probe; statsPollTimeout bounds one probe so a hung replica
 // cannot stall its poll loop for longer than a couple of intervals.
@@ -39,11 +22,13 @@ const (
 // must keep probing somebody rather than deadlock.
 const deadPenalty = 1 << 20
 
-// leastLoaded is the fleet balancer behind BalanceLeastLoaded. One
-// poll goroutine per replica keeps a queued+running load gauge fresh;
-// acquire picks the argmin of polled load + local in-flight count +
-// dead penalty, with a rotating tie-break so equally idle replicas
-// share work instead of the first one absorbing every burst.
+// leastLoaded is the fleet balancer. One poll goroutine per replica
+// keeps a queued+running load gauge fresh from /statsz; acquire picks
+// the argmin of polled load + local in-flight count + dead penalty,
+// with a rotating tie-break so equally idle replicas share work instead
+// of the first one absorbing every burst. A replica that failed its
+// last exchange or probe carries the penalty until it answers again, so
+// a dead replica costs at most the attempts in flight when it died.
 type leastLoaded struct {
 	bases []string
 	// client is a dedicated probe client: probes must not compete with
@@ -166,24 +151,21 @@ func (b *leastLoaded) pollOnce(i int) {
 		return
 	}
 	// Decode only the load gauges from the stats document; unknown
-	// members are skipped, so the probe survives stats growth.
+	// members are skipped, so the probe survives stats growth. The
+	// queued count includes jobs still holding an accept-queue
+	// reservation, so queued+running is the whole backlog.
 	var st struct {
 		Jobs struct {
 			Queued  int `json:"queued"`
 			Running int `json:"running"`
 		} `json:"jobs"`
-		QueueDepth int `json:"queue_depth"`
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
 		b.setDead(i)
 		return
 	}
-	load := st.Jobs.Queued + st.Jobs.Running
-	if st.QueueDepth > load {
-		load = st.QueueDepth
-	}
 	b.mu.Lock()
-	b.polled[i] = load
+	b.polled[i] = st.Jobs.Queued + st.Jobs.Running
 	b.dead[i] = false
 	b.mu.Unlock()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 )
@@ -183,14 +182,5 @@ func TestLeastLoadedProbeFailureMarksDead(t *testing.T) {
 			t.Fatalf("try %d: acquire = %d, want the live replica 1", try, i)
 		}
 		b.release(i, false)
-	}
-}
-
-// Unknown balance policies are rejected up front.
-func TestPlayRejectsUnknownBalance(t *testing.T) {
-	trace := fastTrace(t, 2)
-	_, err := Play(PlayConfig{BaseURL: "http://127.0.0.1:1", Trace: trace, Balance: "random"})
-	if err == nil || !strings.Contains(err.Error(), "Balance") {
-		t.Fatalf("err = %v, want a balance validation error", err)
 	}
 }

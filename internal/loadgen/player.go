@@ -21,17 +21,13 @@ type PlayConfig struct {
 	// BaseURL is the daemon's root URL, e.g. http://127.0.0.1:7909 —
 	// the single-replica convenience form of BaseURLs.
 	BaseURL string
-	// BaseURLs lists every replica of the fleet. Attempts are steered
-	// by the Balance policy (least-loaded by default), and a failed
-	// attempt retries on another replica — a replica killed mid-trace
-	// only costs the jobs in flight against it one resubmit each. When
-	// both are set, BaseURLs wins.
+	// BaseURLs lists every replica of the fleet. Attempts go to the
+	// least-loaded replica (polled /statsz queued+running plus local
+	// in-flight counts), and a failed attempt retries on another
+	// replica — a replica killed mid-trace only costs the jobs in
+	// flight against it one resubmit each. When both are set, BaseURLs
+	// wins.
 	BaseURLs []string
-	// Balance selects the fleet replica-selection policy:
-	// BalanceLeastLoaded (the default) steers by polled /statsz queue
-	// depth plus local in-flight counts; BalanceRoundRobin restores the
-	// legacy position-modulo spread. Ignored with a single replica.
-	Balance string
 	// Trace is the workload to replay.
 	Trace *Trace
 	// Players bounds the concurrent request drivers (default 8). Each
@@ -68,8 +64,8 @@ type PlayConfig struct {
 	// chaos is the installed fault-injecting transport, kept for its
 	// counters (nil without Chaos).
 	chaos *chaosTransport
-	// balancer is the least-loaded picker; nil under round-robin or a
-	// single replica (fill installs it, Play closes it).
+	// balancer is the least-loaded picker; nil for a single replica
+	// (fill installs it, Play closes it).
 	balancer *leastLoaded
 }
 
@@ -151,15 +147,8 @@ func (c *PlayConfig) fill() error {
 		c.Client = &cl
 		c.chaos = ct
 	}
-	switch c.Balance {
-	case "", BalanceLeastLoaded:
-		if len(c.BaseURLs) > 1 {
-			c.balancer = newLeastLoaded(c.BaseURLs)
-		}
-	case BalanceRoundRobin:
-	default:
-		return fmt.Errorf("loadgen: PlayConfig.Balance = %q, want %q or %q",
-			c.Balance, BalanceLeastLoaded, BalanceRoundRobin)
+	if len(c.BaseURLs) > 1 {
+		c.balancer = newLeastLoaded(c.BaseURLs)
 	}
 	c.waitQuery = "?wait=" + c.PollWait.String() + "&result=1"
 	c.stats = &runStats{}
@@ -290,18 +279,12 @@ func (cfg *PlayConfig) playOne(idx int) (float64, int, error) {
 			}
 		}
 		// Pick the replica: the least-loaded balancer steers by polled
-		// queue depth and avoids the replica whose attempt just failed;
-		// round-robin spreads by trace position, each retry moving to
-		// the next replica.
-		var base string
-		pick := -1
+		// load and avoids the replica whose attempt just failed.
+		pick := 0
 		if cfg.balancer != nil {
 			pick = cfg.balancer.acquire(prev)
-			base = cfg.BaseURLs[pick]
-		} else {
-			base = cfg.BaseURLs[(idx+attempt)%len(cfg.BaseURLs)]
 		}
-		ms, out, err := cfg.attemptOne(idx, base, body, deadline)
+		ms, out, err := cfg.attemptOne(idx, cfg.BaseURLs[pick], body, deadline)
 		if cfg.balancer != nil {
 			cfg.balancer.release(pick, out == outcomeRetry)
 			prev = pick

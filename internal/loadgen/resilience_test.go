@@ -150,12 +150,11 @@ func TestPlayDoesNotRetryBadRequests(t *testing.T) {
 }
 
 // With one replica of the fleet dead, every job lands on the survivor
-// under either balance policy and the replay still ends clean with
-// full results. Round-robin rediscovers the corpse on half the
-// positions and pays a retry each time; the least-loaded picker's
-// probes and failure feedback steer later picks around it, so its
-// retry bill is bounded by the attempts in flight when the first
-// failures landed — possibly zero when a probe beat the first pick.
+// and the replay still ends clean with full results. The least-loaded
+// picker's probes and failure feedback steer later picks around the
+// dead replica, so the retry bill is bounded by the attempts in flight
+// when the first failures landed — possibly zero when a probe beat the
+// first pick.
 func TestPlayFailsOverToSurvivingReplica(t *testing.T) {
 	trace := fastTrace(t, 8)
 	daemon := newDaemon(t, service.Options{})
@@ -169,50 +168,41 @@ func TestPlayFailsOverToSurvivingReplica(t *testing.T) {
 	deadURL := "http://" + dead.Addr().String()
 	dead.Close()
 
-	for _, balance := range []string{BalanceRoundRobin, BalanceLeastLoaded} {
-		t.Run(balance, func(t *testing.T) {
-			onResult, results, mu := collectResults(len(trace.Jobs))
-			report, err := Play(PlayConfig{
-				BaseURLs: []string{deadURL, daemon.URL},
-				Trace:    trace,
-				Players:  4,
-				Balance:  balance,
-				OnResult: onResult,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if report.Failed != 0 || report.Aborted != 0 {
-				t.Fatalf("failover replay had hard failures: %+v", report)
-			}
-			if report.Succeeded != len(trace.Jobs) {
-				t.Fatalf("succeeded = %d, want %d", report.Succeeded, len(trace.Jobs))
-			}
-			if balance == BalanceRoundRobin {
-				// Half the positions start on the dead replica and must
-				// retry.
-				if report.Retries < len(trace.Jobs)/2 {
-					t.Fatalf("retries = %d, want >= %d", report.Retries, len(trace.Jobs)/2)
-				}
-			} else if report.Retries > len(trace.Jobs) {
-				// Least-loaded must not do worse than one retry per job.
-				t.Fatalf("retries = %d under least-loaded, want <= %d", report.Retries, len(trace.Jobs))
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for i, res := range results {
-				if res == nil {
-					t.Fatalf("trace position %d has no result after failover", i)
-				}
-				// Duplicate identities must still agree byte for byte.
-				for j := 0; j < i; j++ {
-					if traceJobsEqual(trace, i, j) && !bytes.Equal(results[i], results[j]) {
-						t.Fatalf("positions %d and %d share an identity but disagree", i, j)
-					}
-				}
-			}
+	t.Run("least-loaded", func(t *testing.T) {
+		onResult, results, mu := collectResults(len(trace.Jobs))
+		report, err := Play(PlayConfig{
+			BaseURLs: []string{deadURL, daemon.URL},
+			Trace:    trace,
+			Players:  4,
+			OnResult: onResult,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Failed != 0 || report.Aborted != 0 {
+			t.Fatalf("failover replay had hard failures: %+v", report)
+		}
+		if report.Succeeded != len(trace.Jobs) {
+			t.Fatalf("succeeded = %d, want %d", report.Succeeded, len(trace.Jobs))
+		}
+		// No worse than one retry per job.
+		if report.Retries > len(trace.Jobs) {
+			t.Fatalf("retries = %d, want <= %d", report.Retries, len(trace.Jobs))
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for i, res := range results {
+			if res == nil {
+				t.Fatalf("trace position %d has no result after failover", i)
+			}
+			// Duplicate identities must still agree byte for byte.
+			for j := 0; j < i; j++ {
+				if traceJobsEqual(trace, i, j) && !bytes.Equal(results[i], results[j]) {
+					t.Fatalf("positions %d and %d share an identity but disagree", i, j)
+				}
+			}
+		}
+	})
 }
 
 // Chaos drops and slow-loris reads are absorbed by the retry loop: the

@@ -23,6 +23,8 @@ const (
 	// PeerHit: served by a peer replica over the network (and written
 	// through to the local store).
 	PeerHit
+
+	numOutcomes
 )
 
 func (o Outcome) String() string {
@@ -225,16 +227,15 @@ type Cache struct {
 	peersMu sync.RWMutex
 	peers   PeerSource
 
-	hits        atomic.Uint64
-	diskHits    atomic.Uint64
-	misses      atomic.Uint64
-	merges      atomic.Uint64
+	// outcomes counts requests by how they were satisfied. It moves in
+	// exactly two places, GetOrCompute's exit and a Lookup hit, so every
+	// counted request lands in exactly one slot.
+	outcomes    [numOutcomes]atomic.Uint64
 	stores      atomic.Uint64
 	corrupt     atomic.Uint64
 	uncacheable atomic.Uint64
 	dupStores   atomic.Uint64
 	diskErrors  atomic.Uint64
-	peerHits    atomic.Uint64
 	peerMisses  atomic.Uint64
 }
 
@@ -323,6 +324,15 @@ func (c *Cache) GetOrCompute(key Key, compute func() (payload []byte, cacheable 
 	if key.IsZero() {
 		return nil, Miss, errors.New("memo: zero key")
 	}
+	payload, outcome, err := c.resolve(key, compute)
+	c.outcomes[outcome].Add(1)
+	return payload, outcome, err
+}
+
+// resolve serves key from the first layer that has it — LRU, another
+// caller's in-progress flight, or this caller's own flight (see lead)
+// — and reports which one did. It never counts: GetOrCompute does.
+func (c *Cache) resolve(key Key, compute func() ([]byte, bool, error)) ([]byte, Outcome, error) {
 	s := c.shardOf(key)
 
 	s.mu.Lock()
@@ -330,17 +340,12 @@ func (c *Cache) GetOrCompute(key Key, compute func() (payload []byte, cacheable 
 		s.order.MoveToFront(el)
 		p := el.Value.(*entry).payload
 		s.mu.Unlock()
-		c.hits.Add(1)
 		return p, Hit, nil
 	}
 	if fl, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
 		<-fl.done
-		c.merges.Add(1)
-		if fl.err != nil {
-			return nil, Merged, fl.err
-		}
-		return fl.payload, Merged, nil
+		return fl.payload, Merged, fl.err
 	}
 	// This caller leads the flight for key.
 	fl := &flight{done: make(chan struct{})}
@@ -375,7 +380,7 @@ func (c *Cache) Lookup(key Key) ([]byte, bool) {
 		s.order.MoveToFront(el)
 		p := el.Value.(*entry).payload
 		s.mu.Unlock()
-		c.hits.Add(1)
+		c.outcomes[Hit].Add(1)
 		return p, true
 	}
 	s.mu.Unlock()
@@ -487,7 +492,6 @@ func (c *Cache) diskStore(key Key, payload []byte) {
 // shard lock.
 func (c *Cache) lead(key Key, s *shard, compute func() ([]byte, bool, error)) ([]byte, Outcome, error) {
 	if payload, ok := c.diskLoad(key); ok {
-		c.diskHits.Add(1)
 		c.retain(key, s, payload)
 		return payload, DiskHit, nil
 	}
@@ -499,11 +503,10 @@ func (c *Cache) lead(key Key, s *shard, compute func() ([]byte, bool, error)) ([
 	// coordination: a peer that answers is strictly cheaper than
 	// holding a lease through a full measurement, and replicas with
 	// separate cache dirs (the peer deployment shape) have no shared
-	// lease directory anyway. A peer hit counts on the return path
-	// below; a peer miss counts only when a fan-out actually ran.
+	// lease directory anyway. A peer miss counts only when a fan-out
+	// actually ran.
 	if p := c.peerSource(); p != nil {
 		if payload, ok := p.Fetch(key); ok {
-			c.peerHits.Add(1)
 			c.diskStore(key, payload)
 			c.retain(key, s, payload)
 			return payload, PeerHit, nil
@@ -517,7 +520,6 @@ func (c *Cache) lead(key Key, s *shard, compute func() ([]byte, bool, error)) ([
 	// without a lease so a wedged fleet never turns into an outage.
 	payload, published, holding := c.acquireLead(key)
 	if published {
-		c.diskHits.Add(1)
 		c.retain(key, s, payload)
 		return payload, DiskHit, nil
 	}
@@ -535,11 +537,9 @@ func (c *Cache) lead(key Key, s *shard, compute func() ([]byte, bool, error)) ([
 	defer releaseLease()
 	computed, cacheable, err := compute()
 	if err != nil {
-		c.misses.Add(1)
 		return nil, Miss, err
 	}
 	if !cacheable {
-		c.misses.Add(1)
 		c.uncacheable.Add(1)
 		return computed, Miss, nil
 	}
@@ -547,7 +547,6 @@ func (c *Cache) lead(key Key, s *shard, compute func() ([]byte, bool, error)) ([
 	// the release always finds the entry.
 	c.diskStore(key, computed)
 	releaseLease()
-	c.misses.Add(1)
 	c.retain(key, s, computed)
 	return computed, Miss, nil
 }
@@ -624,16 +623,16 @@ func (c *Cache) Stats() StatsSnapshot {
 		return StatsSnapshot{}
 	}
 	st := StatsSnapshot{
-		Hits:               c.hits.Load(),
-		DiskHits:           c.diskHits.Load(),
-		Misses:             c.misses.Load(),
-		SingleFlightMerges: c.merges.Load(),
+		Hits:               c.outcomes[Hit].Load(),
+		DiskHits:           c.outcomes[DiskHit].Load(),
+		Misses:             c.outcomes[Miss].Load(),
+		SingleFlightMerges: c.outcomes[Merged].Load(),
 		Stores:             c.stores.Load(),
 		CorruptEntries:     c.corrupt.Load(),
 		Uncacheable:        c.uncacheable.Load(),
 		DuplicateStores:    c.dupStores.Load(),
 		DiskErrors:         c.diskErrors.Load(),
-		PeerHits:           c.peerHits.Load(),
+		PeerHits:           c.outcomes[PeerHit].Load(),
 		PeerMisses:         c.peerMisses.Load(),
 	}
 	if p := c.peerSource(); p != nil {

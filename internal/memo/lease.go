@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -224,14 +225,26 @@ func (lm *leaseManager) release(k Key) {
 	}
 }
 
-// takeover claims a stale lease. The rename is the arbitration point:
-// when several followers observe the same dead holder, exactly one
-// rename succeeds, and only that follower proceeds to acquire.
-func (lm *leaseManager) takeover(k Key) bool {
-	if err := os.Rename(lm.path(k), lm.path(k)+".tk-"+lm.owner); err != nil {
+// takeover claims k's lease, which the caller judged stale from its
+// contents, stale. The rename is the arbitration point: when several
+// followers observe the same dead holder, exactly one rename moves that
+// lease aside, and only that follower proceeds to acquire. A slower
+// follower's rename can instead move the winner's fresh lease; its
+// contents differ from stale, so the follower puts it back and keeps
+// waiting.
+func (lm *leaseManager) takeover(k Key, stale []byte) bool {
+	tk := lm.path(k) + ".tk-" + lm.owner
+	if err := os.Rename(lm.path(k), tk); err != nil {
 		return false
 	}
-	os.Remove(lm.path(k) + ".tk-" + lm.owner)
+	defer os.Remove(tk)
+	if raw, err := os.ReadFile(tk); err != nil || !bytes.Equal(raw, stale) {
+		// Best effort: if a third follower acquired in the meantime the
+		// moved lease is lost, but its holder still publishes before it
+		// releases, so waiters are served all the same.
+		_ = os.Link(tk, lm.path(k))
+		return false
+	}
 	return lm.tryAcquire(k)
 }
 
@@ -304,7 +317,7 @@ func (lm *leaseManager) waitOrAcquire(k Key, loadEntry func() ([]byte, bool)) ([
 		default:
 			lastSeq, seenSeq, stall = seq, true, 0
 		}
-		if stale && lm.takeover(k) {
+		if stale && lm.takeover(k, raw) {
 			// The dead holder may have published its entry between our
 			// probe and the takeover — a publish-then-die with the lease
 			// still on disk. Serve it rather than recompute.

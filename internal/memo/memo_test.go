@@ -2,6 +2,7 @@ package memo
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -520,5 +521,123 @@ func TestOutcomeString(t *testing.T) {
 		if out.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", out, out.String(), want)
 		}
+	}
+}
+
+// racingPublisher is a PeerSource that misses, but stores the entry on
+// the shared disk as it does: another replica finishing the same
+// measurement between this cache's disk probe and its lease acquire.
+type racingPublisher struct {
+	disk    *DiskStore
+	payload []byte
+}
+
+func (p racingPublisher) Fetch(key Key) ([]byte, bool) {
+	_, _ = p.disk.Store(key, p.payload)
+	return nil, false
+}
+
+func (racingPublisher) PeerStats() PeerStats { return PeerStats{} }
+
+// Every GetOrCompute path and a Lookup hit move exactly the outcome
+// counter their result maps to, by exactly one, and the guards and a
+// Lookup miss move none — so Requests() is the number of counted calls.
+// Setups stage state directly and count nothing themselves.
+func TestOutcomeCounts(t *testing.T) {
+	const none Outcome = -1
+	payload := []byte("payload")
+	boom := errors.New("boom")
+	compute := func(p []byte, cacheable bool, err error) func(*Cache, Key) Outcome {
+		return func(c *Cache, k Key) Outcome {
+			_, out, _ := c.GetOrCompute(k, func() ([]byte, bool, error) { return p, cacheable, err })
+			return out
+		}
+	}
+	served := compute(nil, false, errors.New("computed an entry that was already served"))
+	retained := func(c *Cache, k Key) { c.retain(k, c.shardOf(k), payload) }
+	lookup := func(c *Cache, k Key) Outcome {
+		if _, ok := c.Lookup(k); ok {
+			return Hit
+		}
+		return none
+	}
+	// inFlight registers a flight for k that another caller leads and
+	// has already settled; it stays registered, so the call merges.
+	inFlight := func(p []byte, err error) func(*Cache, Key) {
+		return func(c *Cache, k Key) {
+			fl := &flight{done: make(chan struct{}), payload: p, err: err}
+			close(fl.done)
+			s := c.shardOf(k)
+			s.mu.Lock()
+			s.inflight[k] = fl
+			s.mu.Unlock()
+		}
+	}
+	cases := []struct {
+		name  string
+		setup func(*Cache, Key)
+		call  func(*Cache, Key) Outcome
+		want  Outcome // none: the call must move no counter
+		// leaseMerges is 1 where the entry must arrive through the
+		// lease re-probe rather than the first disk probe.
+		leaseMerges uint64
+	}{
+		{name: "lru hit", setup: retained, call: served, want: Hit},
+		{name: "disk hit", setup: func(c *Cache, k Key) { _, _ = c.disk.Store(k, payload) }, call: served, want: DiskHit},
+		{name: "lease-published disk hit", setup: func(c *Cache, k Key) {
+			c.SetPeers(racingPublisher{disk: c.disk, payload: payload})
+		}, call: served, want: DiskHit, leaseMerges: 1},
+		{name: "peer hit", setup: func(c *Cache, k Key) {
+			c.SetPeers(&stubPeers{entries: map[Key][]byte{k: payload}})
+		}, call: served, want: PeerHit},
+		{name: "merge", setup: inFlight(payload, nil), call: served, want: Merged},
+		{name: "merge shared error", setup: inFlight(nil, boom), call: served, want: Merged},
+		{name: "miss", call: compute(payload, true, nil), want: Miss},
+		{name: "compute error", call: compute(nil, true, boom), want: Miss},
+		{name: "uncacheable", call: compute(payload, false, nil), want: Miss},
+		{name: "lookup hit", setup: retained, call: lookup, want: Hit},
+		{name: "lookup miss", call: lookup, want: none},
+		{name: "zero key", call: func(c *Cache, _ Key) Outcome {
+			if _, _, err := c.GetOrCompute(Key{}, constPayload(payload)); err == nil {
+				return Miss
+			}
+			return none
+		}, want: none},
+		{name: "nil cache", call: func(*Cache, Key) Outcome {
+			var nilCache *Cache
+			_, _, _ = nilCache.GetOrCompute(KeyOf("nil"), constPayload(payload))
+			return none
+		}, want: none},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mustCache(t, Options{Dir: t.TempDir()})
+			k := KeyOf("outcome/" + tc.name)
+			if tc.setup != nil {
+				tc.setup(c, k)
+			}
+			if got := tc.call(c, k); got != tc.want {
+				t.Fatalf("outcome = %v, want %v", got, tc.want)
+			}
+			st := c.Stats()
+			got := [numOutcomes]uint64{
+				Miss: st.Misses, Hit: st.Hits, DiskHit: st.DiskHits,
+				Merged: st.SingleFlightMerges, PeerHit: st.PeerHits,
+			}
+			var want [numOutcomes]uint64
+			calls := uint64(0)
+			if tc.want != none {
+				want[tc.want], calls = 1, 1
+			}
+			if got != want {
+				t.Errorf("outcome counters [miss hit disk-hit merged peer-hit] = %v, want %v", got, want)
+			}
+			if st.Requests() != calls {
+				t.Errorf("Requests() = %d, want %d", st.Requests(), calls)
+			}
+			if st.LeaseMerges != tc.leaseMerges {
+				t.Errorf("lease merges = %d, want %d", st.LeaseMerges, tc.leaseMerges)
+			}
+		})
 	}
 }

@@ -97,6 +97,9 @@ func TestOverloadShedsWith429(t *testing.T) {
 	if st.Shed != 1 || st.QueueDepth != 2 || st.QueueLimit != 2 || !st.Degraded {
 		t.Fatalf("overloaded stats: %+v", st)
 	}
+	if uint64(st.QueueDepth) != st.Jobs.Queued {
+		t.Fatalf("queue_depth %d != jobs.queued %d: the accept queue is the queued count", st.QueueDepth, st.Jobs.Queued)
+	}
 	if code, body := getBody(t, ts, "/healthz"); code != http.StatusOK || !strings.HasPrefix(body, "degraded: job queue saturated") {
 		t.Fatalf("saturated healthz = %d %q", code, body)
 	}
@@ -144,6 +147,7 @@ func TestJobDeadlineExceeded(t *testing.T) {
 	if stats.DeadlineExceeded != 1 || stats.Jobs.Aborted != 1 || stats.QueueDepth != 0 {
 		t.Fatalf("deadline stats: %+v", stats)
 	}
+	checkJobsAddUp(t, stats.Jobs)
 }
 
 func TestInvalidTimeoutIs400(t *testing.T) {

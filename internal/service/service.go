@@ -35,6 +35,21 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateAborted
 }
 
+// slot is the state's index in Server.inState.
+func (s JobState) slot() int {
+	switch s {
+	case StateQueued:
+		return 0
+	case StateRunning:
+		return 1
+	case StateDone:
+		return 2
+	case StateFailed:
+		return 3
+	}
+	return 4
+}
+
 // Options configures a Server.
 type Options struct {
 	// Cache, when non-nil, backs every job with the shared
@@ -170,7 +185,9 @@ type FaultStats struct {
 }
 
 // JobCounters counts jobs by lifecycle outcome. Submitted, Done,
-// Failed and Aborted are monotone; Queued and Running are gauges.
+// Failed and Aborted are monotone; Queued and Running are gauges. Once
+// no submission is in flight, Submitted equals the sum of the other
+// five.
 type JobCounters struct {
 	Submitted uint64 `json:"submitted"`
 	Queued    uint64 `json:"queued"`
@@ -194,8 +211,9 @@ type Stats struct {
 	Shed             uint64 `json:"shed"`
 	DeadlineExceeded uint64 `json:"deadline_exceeded"`
 	// QueueDepth/QueueLimit expose the admission gauge (-1 limit means
-	// unbounded); Breaker is the measurement cache's disk breaker state;
-	// Degraded mirrors /healthz.
+	// unbounded); QueueDepth is the same count as Jobs.Queued. Breaker
+	// is the measurement cache's disk breaker state; Degraded mirrors
+	// /healthz.
 	QueueDepth int    `json:"queue_depth"`
 	QueueLimit int    `json:"queue_limit"`
 	Breaker    string `json:"breaker,omitempty"`
@@ -208,10 +226,13 @@ type Server struct {
 	opts Options
 	mux  *http.ServeMux
 	sem  chan struct{}
-	// queueLimit is the resolved accept-queue bound (-1: unbounded);
-	// queueDepth is the live count of admitted-but-not-running jobs.
+	// queueLimit is the resolved accept-queue bound (-1: unbounded).
 	queueLimit int
-	queueDepth atomic.Int64
+	// inState counts jobs by state, indexed by JobState.slot. A job
+	// enters its slot at creation and changes slot only through
+	// setState. The queued slot is also the accept queue: a pooled
+	// submission reserves it before its job exists.
+	inState [5]atomic.Int64
 
 	mu    sync.Mutex
 	jobs  map[string]*job
@@ -223,9 +244,6 @@ type Server struct {
 	nextID           atomic.Uint64
 	httpRequests     atomic.Uint64
 	jobsSubmitted    atomic.Uint64
-	jobsDone         atomic.Uint64
-	jobsFailed       atomic.Uint64
-	jobsAborted      atomic.Uint64
 	jobsShed         atomic.Uint64
 	deadlineExceeded atomic.Uint64
 	faultRetries     atomic.Int64
@@ -341,7 +359,7 @@ func (s *Server) Degraded() (bool, string) {
 	if s.opts.Cache != nil && s.opts.Cache.BreakerState() == memo.BreakerOpen {
 		return true, "cache disk breaker open"
 	}
-	if s.queueLimit >= 0 && s.queueDepth.Load() >= int64(s.queueLimit) {
+	if s.queueLimit >= 0 && s.inState[StateQueued.slot()].Load() >= int64(s.queueLimit) {
 		return true, "job queue saturated"
 	}
 	return false, ""
@@ -368,20 +386,15 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 // Stats snapshots the server's counters (the /statsz payload).
 func (s *Server) Stats() Stats {
 	var st Stats
-	st.Jobs.Submitted = s.jobsSubmitted.Load()
-	st.Jobs.Done = s.jobsDone.Load()
-	st.Jobs.Failed = s.jobsFailed.Load()
-	st.Jobs.Aborted = s.jobsAborted.Load()
-	s.mu.Lock()
-	for _, id := range s.order {
-		switch s.jobs[id].snapshotState() {
-		case StateQueued:
-			st.Jobs.Queued++
-		case StateRunning:
-			st.Jobs.Running++
-		}
+	count := func(state JobState) uint64 { return uint64(s.inState[state.slot()].Load()) }
+	st.Jobs = JobCounters{
+		Submitted: s.jobsSubmitted.Load(),
+		Queued:    count(StateQueued),
+		Running:   count(StateRunning),
+		Done:      count(StateDone),
+		Failed:    count(StateFailed),
+		Aborted:   count(StateAborted),
 	}
-	s.mu.Unlock()
 	st.HTTPRequests = s.httpRequests.Load()
 	if s.opts.Cache != nil {
 		cs := s.opts.Cache.Stats()
@@ -395,19 +408,13 @@ func (s *Server) Stats() Stats {
 	st.Draining = s.draining.Load()
 	st.Shed = s.jobsShed.Load()
 	st.DeadlineExceeded = s.deadlineExceeded.Load()
-	st.QueueDepth = int(s.queueDepth.Load())
+	st.QueueDepth = int(st.Jobs.Queued)
 	st.QueueLimit = s.queueLimit
 	if s.opts.Cache != nil {
 		st.Breaker = string(s.opts.Cache.BreakerState())
 	}
 	st.Degraded, _ = s.Degraded()
 	return st
-}
-
-func (j *job) snapshotState() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -567,14 +574,11 @@ func (s *Server) submitFast(ctx context.Context, req JobRequest) (JobStatus, boo
 		cancel: noopCancel, doneCh: closedCh,
 	}
 	if jobErr == nil {
-		j.state = StateDone
-		j.result = payload
-		s.jobsDone.Add(1)
+		j.state, j.result = StateDone, payload
 	} else {
-		j.state = StateFailed
-		j.errMsg = jobErr.Error()
-		s.jobsFailed.Add(1)
+		j.state, j.errMsg = StateFailed, jobErr.Error()
 	}
+	s.inState[j.state.slot()].Add(1)
 	s.mu.Lock()
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -597,30 +601,31 @@ func (s *Server) Submit(req JobRequest) JobStatus {
 	if st, ok := s.submitFast(context.Background(), req); ok {
 		return st
 	}
-	s.queueDepth.Add(1)
+	s.inState[StateQueued.slot()].Add(1)
 	return s.startPooled(req, s.opts.DefaultJobTimeout)
 }
 
-// reserveQueueSlot claims one accept-queue slot, failing when the
+// reserveQueueSlot counts one more queued job, failing when the accept
 // queue is at its bound. The CAS loop keeps the bound exact under
 // concurrent submissions.
 func (s *Server) reserveQueueSlot() bool {
+	queued := &s.inState[StateQueued.slot()]
 	if s.queueLimit < 0 {
-		s.queueDepth.Add(1)
+		queued.Add(1)
 		return true
 	}
 	for {
-		d := s.queueDepth.Load()
+		d := queued.Load()
 		if d >= int64(s.queueLimit) {
 			return false
 		}
-		if s.queueDepth.CompareAndSwap(d, d+1) {
+		if queued.CompareAndSwap(d, d+1) {
 			return true
 		}
 	}
 }
 
-// startPooled creates a pooled job whose accept-queue slot is already
+// startPooled creates a pooled job whose queued count is already
 // reserved, applying the given deadline (0: none) to its whole
 // lifetime — queue wait included, so a saturated pool cannot park a
 // deadlined job forever.
@@ -662,10 +667,8 @@ func (s *Server) run(ctx context.Context, j *job) {
 	defer j.cancel() // release the deadline timer once settled
 	select {
 	case s.sem <- struct{}{}:
-		s.queueDepth.Add(-1)
 		defer func() { <-s.sem }()
 	case <-ctx.Done():
-		s.queueDepth.Add(-1)
 		s.finish(j, nil, nil, ctx.Err())
 		return
 	}
@@ -674,7 +677,7 @@ func (s *Server) run(ctx context.Context, j *job) {
 		return
 	}
 	j.mu.Lock()
-	j.state = StateRunning
+	s.setState(j, StateRunning)
 	j.mu.Unlock()
 	payload, report, err := executeCached(ctx, s.opts.Cache, j.req, hooks{
 		progress: func(done, total int) {
@@ -689,30 +692,21 @@ func (s *Server) run(ctx context.Context, j *job) {
 // finish settles a job's terminal state and folds its resilience
 // accounting into the server counters.
 func (s *Server) finish(j *job, payload []byte, report *core.CheckReport, err error) {
-	deadlined := err != nil && errors.Is(err, context.DeadlineExceeded)
 	j.mu.Lock()
-	// Each terminal state charges its counter in the arm that sets it,
-	// so the state a poller observes and the counter /statsz reports
-	// can never drift apart. The counters are atomics: bumping them
-	// under j.mu blocks nobody.
 	switch {
 	case err == nil:
-		j.state = StateDone
 		j.result = payload
-		s.jobsDone.Add(1)
-	case deadlined:
-		j.state = StateAborted
+		s.setState(j, StateDone)
+	case errors.Is(err, context.DeadlineExceeded):
 		j.errMsg = "job deadline exceeded"
-		s.jobsAborted.Add(1)
+		s.setState(j, StateAborted)
 		s.deadlineExceeded.Add(1)
 	case errors.Is(err, context.Canceled):
-		j.state = StateAborted
 		j.errMsg = "job aborted"
-		s.jobsAborted.Add(1)
+		s.setState(j, StateAborted)
 	default:
-		j.state = StateFailed
 		j.errMsg = err.Error()
-		s.jobsFailed.Add(1)
+		s.setState(j, StateFailed)
 	}
 	j.mu.Unlock()
 	if report != nil {
@@ -725,6 +719,16 @@ func (s *Server) finish(j *job, payload []byte, report *core.CheckReport, err er
 			j.mu.Unlock()
 		}
 	}
+}
+
+// setState moves j to a new state and its count from the old state's
+// slot to the new one's. Every state change after creation goes
+// through here, so /statsz counts exactly the states pollers see. The
+// caller holds j.mu; the counts are atomics, so that blocks nobody.
+func (s *Server) setState(j *job, to JobState) {
+	s.inState[j.state.slot()].Add(-1)
+	j.state = to
+	s.inState[to.slot()].Add(1)
 }
 
 func (s *Server) lookup(id string) *job {

@@ -311,6 +311,15 @@ func getStats(t *testing.T, ts *httptest.Server) Stats {
 	return st
 }
 
+// checkJobsAddUp asserts that a quiet server's per-state job counts
+// account for every submitted job exactly once.
+func checkJobsAddUp(t *testing.T, jc JobCounters) {
+	t.Helper()
+	if sum := jc.Queued + jc.Running + jc.Done + jc.Failed + jc.Aborted; sum != jc.Submitted {
+		t.Errorf("per-state job counts sum to %d, want submitted = %d: %+v", sum, jc.Submitted, jc)
+	}
+}
+
 // The monotone /statsz counters must never decrease across job
 // activity, and must account for the activity that happened.
 func TestStatszCountersMonotone(t *testing.T) {
@@ -351,6 +360,7 @@ func TestStatszCountersMonotone(t *testing.T) {
 	if prev.Jobs.Submitted != 3 || prev.Jobs.Done != 3 {
 		t.Errorf("final counters = %+v, want 3 submitted and done", prev.Jobs)
 	}
+	checkJobsAddUp(t, prev.Jobs)
 	if prev.Cache.Hits == 0 {
 		t.Errorf("duplicate jobs produced no cache hits: %+v", prev.Cache)
 	}

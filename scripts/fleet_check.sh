@@ -142,7 +142,7 @@ kill -9 "$R1_PID" 2>/dev/null
 wait "$R1_PID" 2>/dev/null
 sleep 0.7
 # Restart it on the same port, same shared cache dir: the fleet is
-# whole again and the replay keeps round-robining across all three.
+# whole again and the replay keeps balancing across all three.
 boot_daemon r1-restarted "$R1_ADDR" "$FLEET_CACHE"
 
 wait "$LOAD_PID"
