@@ -4,18 +4,13 @@
 //
 //	determinism — no ambient state (time.Now, global math/rand, pids,
 //	              env) or map-iteration-ordered output in result paths
-//	rngfork     — closures run in parallel must Fork captured RNG
-//	              carriers, never share the parent stream
 //	floatcmp    — float comparisons must name their contract
 //	              (tolerance or bit identity), never bare ==/!=
 //	fingerprint — every field of a struct feeding a cache key must be
 //	              written into the key
-//	errwrap     — fault-path fmt.Errorf must wrap errors with %w
 //	locksafe    — every Lock pairs with an Unlock on all CFG exit
 //	              paths; no blocking op while a serving mutex is held;
 //	              no by-value copy of lock-bearing structs
-//	goroleak    — every go statement has a provable termination tie;
-//	              loops observe their stop signal on every backedge
 //	ctxflow     — request-scoped call chains thread ctx;
 //	              context.Background() is banned outside main, tests
 //	              and documented detached workers
@@ -51,24 +46,18 @@ import (
 	"additivity/internal/analysis"
 	"additivity/internal/analysis/passes/ctxflow"
 	"additivity/internal/analysis/passes/determinism"
-	"additivity/internal/analysis/passes/errwrap"
 	"additivity/internal/analysis/passes/fingerprint"
 	"additivity/internal/analysis/passes/floatcmp"
-	"additivity/internal/analysis/passes/goroleak"
 	"additivity/internal/analysis/passes/locksafe"
-	"additivity/internal/analysis/passes/rngfork"
 )
 
 // all lists every registered pass.
 var all = []*analysis.Analyzer{
 	ctxflow.Analyzer,
 	determinism.Analyzer,
-	errwrap.Analyzer,
 	fingerprint.Analyzer,
 	floatcmp.Analyzer,
-	goroleak.Analyzer,
 	locksafe.Analyzer,
-	rngfork.Analyzer,
 }
 
 func main() {

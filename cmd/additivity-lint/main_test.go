@@ -50,12 +50,9 @@ func TestSmoke(t *testing.T) {
 
 	fixtures := []string{
 		"./internal/analysis/passes/determinism/testdata/src/detfix",
-		"./internal/analysis/passes/rngfork/testdata/src/rngforkfix",
 		"./internal/analysis/passes/floatcmp/testdata/src/floatcmpfix",
 		"./internal/analysis/passes/fingerprint/testdata/src/fingerprintfix",
-		"./internal/analysis/passes/errwrap/testdata/src/errwrapfix",
 		"./internal/analysis/passes/locksafe/testdata/src/locksafefix",
-		"./internal/analysis/passes/goroleak/testdata/src/goroleakfix",
 		"./internal/analysis/passes/ctxflow/testdata/src/ctxflowfix",
 	}
 	out, code := runLint(t, root, bin, fixtures...)
@@ -63,8 +60,7 @@ func TestSmoke(t *testing.T) {
 		t.Fatalf("fixture run: exit %d, want 1\n%s", code, out)
 	}
 	for _, check := range []string{
-		"(determinism)", "(rngfork)", "(floatcmp)", "(fingerprint)", "(errwrap)",
-		"(locksafe)", "(goroleak)", "(ctxflow)",
+		"(determinism)", "(floatcmp)", "(fingerprint)", "(locksafe)", "(ctxflow)",
 	} {
 		if !strings.Contains(out, check) {
 			t.Errorf("fixture run: no %s finding in output:\n%s", check, out)
@@ -96,8 +92,7 @@ func TestListAndBadCheck(t *testing.T) {
 		t.Fatalf("-list: exit %d\n%s", code, out)
 	}
 	for _, name := range []string{
-		"determinism", "rngfork", "floatcmp", "fingerprint", "errwrap",
-		"locksafe", "goroleak", "ctxflow",
+		"determinism", "floatcmp", "fingerprint", "locksafe", "ctxflow",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)

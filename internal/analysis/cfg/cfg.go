@@ -1,11 +1,10 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and solves forward dataflow problems over them. It is
 // the foundation of the flow-sensitive concurrency passes (locksafe,
-// goroleak, ctxflow): where the reproducibility passes inspect
-// individual AST nodes, these need to reason about *paths* — "is the
-// shard mutex still held when this channel receive executes?", "does
-// every backedge of this heartbeat loop observe its stop signal?" —
-// and paths are a CFG property.
+// ctxflow): where the reproducibility passes inspect individual AST
+// nodes, these need to reason about *paths* — "is the shard mutex
+// still held when this channel receive executes?" — and paths are a
+// CFG property.
 //
 // The graph is deliberately simple: a Block is a maximal straight-line
 // sequence of statements (plus the controlling expression of the branch
@@ -571,71 +570,4 @@ func (g *Graph) ReversePostOrder() []*Block {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
-}
-
-// SCCs returns the nontrivial strongly connected components of the
-// reachable graph: every loop (natural or irreducible, via goto) shows
-// up as one component. A single block forms a component only if it has
-// a self-edge. Components are the unit goroleak reasons about: "does
-// every cycle observe its stop signal" is a per-SCC question.
-func (g *Graph) SCCs() [][]*Block {
-	// Tarjan's algorithm, iterative enough for function-sized graphs.
-	index := map[*Block]int{}
-	low := map[*Block]int{}
-	onStack := map[*Block]bool{}
-	var stack []*Block
-	var sccs [][]*Block
-	next := 0
-	live := g.Reachable()
-
-	var strong func(b *Block)
-	strong = func(b *Block) {
-		index[b] = next
-		low[b] = next
-		next++
-		stack = append(stack, b)
-		onStack[b] = true
-		for _, s := range b.Succs {
-			if !live[s] {
-				continue
-			}
-			if _, seen := index[s]; !seen {
-				strong(s)
-				if low[s] < low[b] {
-					low[b] = low[s]
-				}
-			} else if onStack[s] && index[s] < low[b] {
-				low[b] = index[s]
-			}
-		}
-		if low[b] == index[b] {
-			var comp []*Block
-			for {
-				top := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[top] = false
-				comp = append(comp, top)
-				if top == b {
-					break
-				}
-			}
-			selfLoop := false
-			for _, s := range comp[0].Succs {
-				if s == comp[0] {
-					selfLoop = true
-				}
-			}
-			if len(comp) > 1 || selfLoop {
-				sccs = append(sccs, comp)
-			}
-		}
-	}
-	for _, b := range g.Blocks {
-		if live[b] {
-			if _, seen := index[b]; !seen {
-				strong(b)
-			}
-		}
-	}
-	return sccs
 }

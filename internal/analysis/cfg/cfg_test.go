@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -385,32 +386,53 @@ func TestEdges(t *testing.T) {
 			}
 		}`)
 		g := New(fd.Body)
-		sccs := g.SCCs()
-		if len(sccs) != 1 {
-			t.Fatalf("got %d SCCs, want 1", len(sccs))
-		}
-		hasSelect, hasReturnCase := false, false
-		inSCC := map[*Block]bool{}
-		for _, b := range sccs[0] {
-			inSCC[b] = true
+		var dispatch *Block
+		for _, b := range g.Blocks {
 			if b.Kind == KindSelect {
-				hasSelect = true
+				dispatch = b
 			}
 		}
-		// The <-done case returns, so it must be outside the SCC with
-		// an edge from the dispatch (inside) to it (outside).
-		for _, b := range sccs[0] {
-			if b.Kind != KindSelect {
-				continue
-			}
-			for _, s := range b.Succs {
-				if s.Kind == KindSelectCase && !inSCC[s] {
-					hasReturnCase = true
+		if dispatch == nil || len(dispatch.Succs) != 2 {
+			t.Fatalf("select dispatch = %+v, want a KindSelect block with two cases", dispatch)
+		}
+		// reaches reports whether to is reachable from from along a
+		// path that does not pass back through the dispatch.
+		reaches := func(from, to *Block) bool {
+			seen := map[*Block]bool{}
+			var walk func(*Block) bool
+			walk = func(b *Block) bool {
+				if b == to {
+					return true
 				}
+				if seen[b] || b == dispatch {
+					return false
+				}
+				seen[b] = true
+				for _, s := range b.Succs {
+					if walk(s) {
+						return true
+					}
+				}
+				return false
 			}
+			return walk(from)
 		}
-		if !hasSelect || !hasReturnCase {
-			t.Fatalf("heartbeat shape not recognised: select in SCC=%v, escaping case=%v", hasSelect, hasReturnCase)
+		for _, c := range dispatch.Succs {
+			if c.Kind != KindSelectCase {
+				t.Fatalf("dispatch successor kind = %d, want KindSelectCase", c.Kind)
+			}
+			switch comm := types.ExprString(c.Ctrl.(*ast.CommClause).Comm.(*ast.ExprStmt).X); comm {
+			case "<-done":
+				if !reaches(c, g.Exit) || reaches(c, dispatch) {
+					t.Error("<-done case must reach Exit without looping back to the dispatch")
+				}
+			case "<-tick":
+				if !reaches(c, dispatch) {
+					t.Error("<-tick case does not loop back to the dispatch")
+				}
+			default:
+				t.Fatalf("unexpected select case %s", comm)
+			}
 		}
 	})
 }

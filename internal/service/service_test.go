@@ -399,34 +399,47 @@ func TestDrainRefusesAndSettles(t *testing.T) {
 }
 
 // A duplicate of an aborted job must not inherit the abort: the retry
-// path re-leads the job flight and completes.
+// path re-leads the job flight and completes. The abort races the first
+// job's own completion, and a first job that settles done before the
+// abort lands never reaches the retry path, so that round reruns the
+// scenario on a fresh seed.
 func TestDuplicateOfAbortedJobStillCompletes(t *testing.T) {
 	srv, ts := newTestServer(t)
 
-	const body = `{"kind":"check","params":{"seed":770001,"compounds":120,"reps":5}}`
-	first := submit(t, ts, body)
-	for i := 0; i < 200; i++ {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + first.ID)
-		if err != nil {
-			t.Fatal(err)
+	const rounds = 5
+	for seed := 770001; seed < 770001+rounds; seed++ {
+		body := fmt.Sprintf(`{"kind":"check","params":{"seed":%d,"compounds":120,"reps":5}}`, seed)
+		first := submit(t, ts, body)
+		for i := 0; i < 200; i++ {
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + first.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := decodeStatus(t, resp.Body)
+			resp.Body.Close()
+			if cur.State == StateRunning {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		cur := decodeStatus(t, resp.Body)
-		resp.Body.Close()
-		if cur.State == StateRunning {
-			break
+		second := submit(t, ts, body)
+		if !srv.Abort(first.ID) {
+			t.Fatal("abort returned false for a live job")
 		}
-		time.Sleep(5 * time.Millisecond)
+		firstState := pollUntilTerminal(t, ts, first.ID).State
+		if got := pollUntilTerminal(t, ts, second.ID); got.State != StateDone {
+			t.Fatalf("duplicate job = %s (%s), want done despite the twin's abort", got.State, got.Error)
+		}
+		switch firstState {
+		case StateAborted:
+			return
+		case StateDone:
+			t.Logf("seed %d: first job settled before the abort landed; rerunning", seed)
+		default:
+			t.Fatalf("first job = %s, want aborted", firstState)
+		}
 	}
-	second := submit(t, ts, body)
-	if !srv.Abort(first.ID) {
-		t.Fatal("abort returned false for a live job")
-	}
-	if got := pollUntilTerminal(t, ts, first.ID); got.State != StateAborted {
-		t.Fatalf("first job = %s, want aborted", got.State)
-	}
-	if got := pollUntilTerminal(t, ts, second.ID); got.State != StateDone {
-		t.Fatalf("duplicate job = %s (%s), want done despite the twin's abort", got.State, got.Error)
-	}
+	t.Fatalf("first job settled before the abort landed in all %d rounds", rounds)
 }
 
 // Results served from the job-level cache are byte-identical to the

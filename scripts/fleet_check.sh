@@ -4,7 +4,7 @@
 #   1. Baseline: one daemon, one private cache dir, a 200-job skewed
 #      trace replayed clean; its combined results digest is the truth
 #      every later leg must reproduce byte for byte.
-#   2. Fleet: three replicas (race-instrumented by default) sharing one
+#   2. Fleet: three race-instrumented replicas sharing one
 #      cache directory. The same trace replays across all three while
 #      one replica is SIGKILLed mid-trace and then restarted on the
 #      same port. Required: a clean replay, the baseline digest
@@ -15,19 +15,14 @@
 #      by 16 players must shed with 429s, never fail a job, and keep
 #      the p99 of accepted requests within 2x an uncontended run's.
 #
-# Usage: [OUT=BENCH_PR8.json] [RACE=0] scripts/fleet_check.sh [jobs] [players]
+# Usage: scripts/fleet_check.sh [jobs] [players]
 #
-# OUT copies the three legs' reports out as one JSON artifact (the
-# BENCH_PR8 recording path); RACE=0 builds the daemons without the race
-# detector so recorded latencies are undistorted. The mid-trace kill
-# gate (retries observed) is only enforced when the replay was still
-# running at kill time — an undistorted replay can finish first.
+# The mid-trace kill gate (retries observed) is only enforced when the
+# replay was still running at kill time.
 set -u
 
 JOBS="${1:-200}"
 PLAYERS="${2:-8}"
-OUT="${OUT:-}"
-RACE="${RACE:-1}"
 DIR="$(mktemp -d)"
 PIDS=()
 cleanup() {
@@ -40,15 +35,12 @@ cleanup() {
 trap cleanup EXIT
 
 # Concurrency-contract gate before any replica boots: a daemon whose
-# locks can leak, whose goroutines cannot terminate, or whose /statsz
-# counters drift from its state machine would turn the fleet legs below
-# into noise instead of a verdict.
+# locks can leak or whose request chains drop their context would turn
+# the fleet legs below into noise instead of a verdict.
 echo "== concurrency lint =="
 make lint-concurrency || { echo "FAIL: concurrency-contract lint failed" >&2; exit 1; }
 
-RACEFLAG="-race"
-[ "$RACE" = "0" ] && RACEFLAG=""
-go build $RACEFLAG -o "$DIR/additivityd" ./cmd/additivityd || exit 1
+go build -race -o "$DIR/additivityd" ./cmd/additivityd || exit 1
 go build -o "$DIR/additivity-load" ./cmd/additivity-load || exit 1
 
 # boot_daemon <name> <addr> <cache-dir> [extra flags...]: starts one
@@ -98,7 +90,7 @@ boot_daemon baseline 127.0.0.1:0 "$DIR/cache-baseline"
 BASE_PID=$DAEMON_PID
 "$DIR/additivity-load" -url "http://$ADDR" \
     -gen skewed -jobs "$JOBS" -players "$PLAYERS" \
-    -write-trace "$DIR/trace.json" -digest -out "$DIR/baseline.json" \
+    -write-trace "$DIR/trace.json" -digest \
     >"$DIR/baseline.out" 2>"$DIR/baseline.err" || {
     echo "FAIL: baseline replay reported failed or aborted jobs" >&2
     cat "$DIR/baseline.out" "$DIR/baseline.err" >&2
@@ -226,21 +218,5 @@ if ! awk -v h="$HOT_P99" -v c="$CALM_P99" 'BEGIN{exit !(h <= 2*c)}'; then
     exit 1
 fi
 echo "overload leg: $SHED sheds, p99 ${HOT_P99}ms vs uncontended ${CALM_P99}ms"
-
-if [ -n "$OUT" ]; then
-    {
-        echo '{'
-        echo '  "baseline":'
-        sed 's/^/  /' "$DIR/baseline.json" | sed '$s/$/,/'
-        echo '  "fleet":'
-        sed 's/^/  /' "$DIR/fleet.json" | sed '$s/$/,/'
-        echo '  "uncontended":'
-        sed 's/^/  /' "$DIR/calm.json" | sed '$s/$/,/'
-        echo '  "overloaded":'
-        sed 's/^/  /' "$DIR/hot.json"
-        echo '}'
-    } >"$OUT"
-    echo "wrote baseline+fleet+overload reports to $OUT"
-fi
 
 echo "PASS: fleet of 3 survived a SIGKILL with byte-identical results ($LEASE_MERGES lease merges, 0 duplicate stores); overload shed $SHED requests with accepted-p99 ${HOT_P99}ms"

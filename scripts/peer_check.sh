@@ -5,7 +5,7 @@
 #      skewed trace clean and records its combined results digest — the
 #      truth every later leg must reproduce byte for byte. The daemon
 #      is then stopped; its cache directory stays behind, warm.
-#   2. Peer fleet: three replicas (race-instrumented by default) with
+#   2. Peer fleet: three race-instrumented replicas with
 #      SEPARATE cache directories, wired to each other with -peers.
 #      Replica A is rebooted over the warm baseline directory; B and C
 #      start cold and can reach the entries only over the peer wire.
@@ -15,23 +15,15 @@
 #      actually served entries), and zero cache misses on the warm
 #      replica A — peers must never push a duplicate measurement onto
 #      a replica that already has the bytes.
-#   3. Bench (OUT set): three more fleets replay the trace cold — one
-#      with no peer wiring, one peer-wired against warm A, one sharing
-#      a single cache directory — and the peer-warm leg must hold at
-#      least 2x the no-peer fleet's req/s.
 #
-# Usage: [OUT=BENCH_PR9.json] [RACE=0] scripts/peer_check.sh [jobs] [players]
+# Usage: scripts/peer_check.sh [jobs] [players]
 #
-# OUT writes the legs' reports as one JSON artifact (the BENCH_PR9
-# recording path); RACE=0 builds the daemons without the race detector
-# so recorded throughput is undistorted. The mid-trace kill gate is
-# only enforced when the replay was still running at kill time.
+# The mid-trace kill gate is only enforced when the replay was still
+# running at kill time.
 set -u
 
 JOBS="${1:-200}"
 PLAYERS="${2:-8}"
-OUT="${OUT:-}"
-RACE="${RACE:-1}"
 DIR="$(mktemp -d)"
 PIDS=()
 cleanup() {
@@ -45,13 +37,11 @@ trap cleanup EXIT
 
 # Concurrency-contract gate before any replica boots: the peer legs
 # prove wire-level invariants, which mean nothing if a replica can
-# deadlock on a leaked lock or leak its hedge goroutines.
+# deadlock on a leaked lock or block while holding a serving mutex.
 echo "== concurrency lint =="
 make lint-concurrency || { echo "FAIL: concurrency-contract lint failed" >&2; exit 1; }
 
-RACEFLAG="-race"
-[ "$RACE" = "0" ] && RACEFLAG=""
-go build $RACEFLAG -o "$DIR/additivityd" ./cmd/additivityd || exit 1
+go build -race -o "$DIR/additivityd" ./cmd/additivityd || exit 1
 go build -o "$DIR/additivity-load" ./cmd/additivity-load || exit 1
 
 # boot_daemon <name> <addr> <cache-dir> [extra flags...]: starts one
@@ -102,11 +92,6 @@ stat_of() {
         | head -1 | grep -o '[0-9]*$'
 }
 
-# rps_of <report.json>: the replay's req_per_sec.
-rps_of() {
-    grep -o '"req_per_sec": *[0-9.]*' "$1" | head -1 | grep -o '[0-9.]*$'
-}
-
 # ---- Leg 1: single-replica baseline, warming A's directory ----------
 
 echo "leg 1: single-replica baseline (${JOBS} jobs, ${PLAYERS} players)..."
@@ -115,7 +100,7 @@ boot_daemon baseline 127.0.0.1:0 "$A_CACHE"
 BASE_PID=$DAEMON_PID A_ADDR=$ADDR
 "$DIR/additivity-load" -url "http://$A_ADDR" \
     -gen skewed -jobs "$JOBS" -players "$PLAYERS" \
-    -write-trace "$DIR/trace.json" -digest -out "$DIR/baseline.json" \
+    -write-trace "$DIR/trace.json" -digest \
     >"$DIR/baseline.out" 2>"$DIR/baseline.err" || {
     echo "FAIL: baseline replay reported failed or aborted jobs" >&2
     cat "$DIR/baseline.out" "$DIR/baseline.err" >&2
@@ -203,95 +188,5 @@ for err in a.err b.err c.err; do
     fi
 done
 echo "peer leg: digest matches baseline, $PEER_HITS peer hits, A misses 0, ${RETRIES:-0} retries (killed mid-run: $KILLED_MIDRUN)"
-
-# ---- Leg 3 (bench): no-peer vs peer-warm vs shared-dir --------------
-
-if [ -n "$OUT" ]; then
-    # Stop leg 2's survivors; the warm A directory is reused below.
-    for pid in ${PIDS[@]+"${PIDS[@]}"}; do
-        kill -9 "$pid" 2>/dev/null
-        wait "$pid" 2>/dev/null
-    done
-    PIDS=()
-
-    echo "leg 3a: no-peer fleet (3 cold separate dirs)..."
-    boot_daemon n1 127.0.0.1:0 "$DIR/cache-n1"
-    N1=$ADDR
-    boot_daemon n2 127.0.0.1:0 "$DIR/cache-n2"
-    N2=$ADDR
-    boot_daemon n3 127.0.0.1:0 "$DIR/cache-n3"
-    N3=$ADDR
-    "$DIR/additivity-load" -url "http://$N1,http://$N2,http://$N3" \
-        -trace "$DIR/trace.json" -players "$FLEET_PLAYERS" \
-        -out "$DIR/nopeer.json" >"$DIR/nopeer.out" 2>/dev/null || {
-        echo "FAIL: no-peer fleet replay failed" >&2
-        cat "$DIR/nopeer.out" >&2
-        exit 1
-    }
-
-    echo "leg 3b: peer-warm fleet (A warm, B/C cold, peer-wired)..."
-    boot_daemon pa 127.0.0.1:0 "$A_CACHE"
-    PA=$ADDR
-    boot_daemon pb 127.0.0.1:0 "$DIR/cache-pb" -peers "http://$PA"
-    PB=$ADDR
-    boot_daemon pc2 127.0.0.1:0 "$DIR/cache-pc" -peers "http://$PA,http://$PB"
-    PC=$ADDR
-    "$DIR/additivity-load" -url "http://$PA,http://$PB,http://$PC" \
-        -trace "$DIR/trace.json" -players "$FLEET_PLAYERS" \
-        -digest -out "$DIR/peerwarm.json" >"$DIR/peerwarm.out" 2>/dev/null || {
-        echo "FAIL: peer-warm fleet replay failed" >&2
-        cat "$DIR/peerwarm.out" >&2
-        exit 1
-    }
-    WARM_DIGEST=$(digest_of "$DIR/peerwarm.out")
-    if [ "$WARM_DIGEST" != "$BASE_DIGEST" ]; then
-        echo "FAIL: peer-warm digest $WARM_DIGEST differs from baseline $BASE_DIGEST" >&2
-        exit 1
-    fi
-
-    echo "leg 3c: shared-dir fleet (3 replicas, one cold cache dir)..."
-    boot_daemon s1 127.0.0.1:0 "$DIR/cache-shared"
-    S1=$ADDR
-    boot_daemon s2 127.0.0.1:0 "$DIR/cache-shared"
-    S2=$ADDR
-    boot_daemon s3 127.0.0.1:0 "$DIR/cache-shared"
-    S3=$ADDR
-    "$DIR/additivity-load" -url "http://$S1,http://$S2,http://$S3" \
-        -trace "$DIR/trace.json" -players "$FLEET_PLAYERS" \
-        -out "$DIR/shared.json" >"$DIR/shared.out" 2>/dev/null || {
-        echo "FAIL: shared-dir fleet replay failed" >&2
-        cat "$DIR/shared.out" >&2
-        exit 1
-    }
-
-    NOPEER_RPS=$(rps_of "$DIR/nopeer.json")
-    PEER_RPS=$(rps_of "$DIR/peerwarm.json")
-    SHARED_RPS=$(rps_of "$DIR/shared.json")
-    if [ -z "$NOPEER_RPS" ] || [ -z "$PEER_RPS" ]; then
-        echo "FAIL: could not extract req/s from the bench legs" >&2
-        exit 1
-    fi
-    if ! awk -v p="$PEER_RPS" -v n="$NOPEER_RPS" 'BEGIN{exit !(p >= 2*n)}'; then
-        echo "FAIL: peer-warm fleet ${PEER_RPS} req/s is under 2x the no-peer fleet's ${NOPEER_RPS} req/s" >&2
-        exit 1
-    fi
-    echo "bench legs: peer-warm ${PEER_RPS} req/s vs no-peer ${NOPEER_RPS} req/s vs shared-dir ${SHARED_RPS:-?} req/s"
-
-    {
-        echo '{'
-        echo '  "baseline":'
-        sed 's/^/  /' "$DIR/baseline.json" | sed '$s/$/,/'
-        echo '  "peer_fleet_killed":'
-        sed 's/^/  /' "$DIR/peerfleet.json" | sed '$s/$/,/'
-        echo '  "no_peer":'
-        sed 's/^/  /' "$DIR/nopeer.json" | sed '$s/$/,/'
-        echo '  "peer_warm":'
-        sed 's/^/  /' "$DIR/peerwarm.json" | sed '$s/$/,/'
-        echo '  "shared_dir":'
-        sed 's/^/  /' "$DIR/shared.json"
-        echo '}'
-    } >"$OUT"
-    echo "wrote baseline+peer+bench reports to $OUT"
-fi
 
 echo "PASS: peer fleet reproduced the baseline digest byte for byte with $PEER_HITS peer hits, zero misses on the warm replica, and a mid-trace SIGKILL absorbed"
