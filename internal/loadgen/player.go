@@ -21,12 +21,11 @@ type PlayConfig struct {
 	// BaseURL is the daemon's root URL, e.g. http://127.0.0.1:7909 —
 	// the single-replica convenience form of BaseURLs.
 	BaseURL string
-	// BaseURLs lists every replica of the fleet. Attempts go to the
-	// least-loaded replica (polled /statsz queued+running plus local
-	// in-flight counts), and a failed attempt retries on another
-	// replica — a replica killed mid-trace only costs the jobs in
-	// flight against it one resubmit each. When both are set, BaseURLs
-	// wins.
+	// BaseURLs lists every replica of the fleet. Attempt a of trace
+	// position p goes to BaseURLs[(p+a) % len(BaseURLs)], so a failed
+	// attempt always retries on the next replica — a replica killed
+	// mid-trace costs one resubmit for each job routed to it, never a
+	// failure. When both are set, BaseURLs wins.
 	BaseURLs []string
 	// Trace is the workload to replay.
 	Trace *Trace
@@ -43,9 +42,6 @@ type PlayConfig struct {
 	// PerJobTimeout bounds one job's submit-to-terminal wall time
 	// (default 120s). A job past its deadline counts as failed.
 	PerJobTimeout time.Duration
-	// Progress, when set, receives a snapshot roughly once per second
-	// while the replay runs.
-	Progress func(ProgressSnapshot)
 	// OnResult, when set, receives every done job's result payload,
 	// keyed by the job's position in the trace. Called from player
 	// goroutines; the callback must be safe for concurrent use.
@@ -64,9 +60,6 @@ type PlayConfig struct {
 	// chaos is the installed fault-injecting transport, kept for its
 	// counters (nil without Chaos).
 	chaos *chaosTransport
-	// balancer is the least-loaded picker; nil for a single replica
-	// (fill installs it, Play closes it).
-	balancer *leastLoaded
 }
 
 // runStats holds the cross-player resilience counters of one replay.
@@ -74,14 +67,6 @@ type runStats struct {
 	shed     atomic.Uint64
 	draining atomic.Uint64
 	retries  atomic.Uint64
-}
-
-// ProgressSnapshot is one per-second view of a replay in flight.
-type ProgressSnapshot struct {
-	ElapsedS  float64 `json:"elapsed_s"`
-	Submitted int     `json:"submitted"`
-	Completed int     `json:"completed"`
-	Failed    int     `json:"failed"`
 }
 
 // outcome codes for one trace position.
@@ -147,9 +132,6 @@ func (c *PlayConfig) fill() error {
 		c.Client = &cl
 		c.chaos = ct
 	}
-	if len(c.BaseURLs) > 1 {
-		c.balancer = newLeastLoaded(c.BaseURLs)
-	}
 	c.waitQuery = "?wait=" + c.PollWait.String() + "&result=1"
 	c.stats = &runStats{}
 	return nil
@@ -171,7 +153,6 @@ func Play(cfg PlayConfig) (*Report, error) {
 	latenciesMS := make([]float64, n)
 	outcomes := make([]int32, n)
 	errMsgs := make([]string, n)
-	var submitted, completed, failed atomic.Int64
 
 	//lint:ignore determinism load-harness latency measurement: wall-clock stays in the harness, outside every result path
 	start := time.Now()
@@ -183,7 +164,6 @@ func Play(cfg PlayConfig) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for idx := range reqCh {
-				submitted.Add(1)
 				ms, out, err := cfg.playOne(idx)
 				// Trace positions are handed to exactly one player, so
 				// these per-index writes never race; wg.Wait publishes
@@ -192,35 +172,6 @@ func Play(cfg PlayConfig) (*Report, error) {
 				outcomes[idx] = int32(out)
 				if err != nil {
 					errMsgs[idx] = err.Error()
-				}
-				completed.Add(1)
-				if out == outcomeFailed || out == outcomeAborted {
-					failed.Add(1)
-				}
-			}
-		}()
-	}
-
-	stopTick := make(chan struct{})
-	var tickWG sync.WaitGroup
-	if cfg.Progress != nil {
-		tickWG.Add(1)
-		go func() {
-			defer tickWG.Done()
-			ticker := time.NewTicker(time.Second)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopTick:
-					return
-				case <-ticker.C:
-					cfg.Progress(ProgressSnapshot{
-						//lint:ignore determinism load-harness progress timestamps: wall-clock stays in the harness
-						ElapsedS:  time.Since(start).Seconds(),
-						Submitted: int(submitted.Load()),
-						Completed: int(completed.Load()),
-						Failed:    int(failed.Load()),
-					})
 				}
 			}
 		}()
@@ -231,11 +182,6 @@ func Play(cfg PlayConfig) (*Report, error) {
 	}
 	close(reqCh)
 	wg.Wait()
-	close(stopTick)
-	tickWG.Wait()
-	if cfg.balancer != nil {
-		cfg.balancer.close()
-	}
 
 	//lint:ignore determinism load-harness latency measurement: wall-clock stays in the harness
 	elapsed := time.Since(start).Seconds()
@@ -267,7 +213,6 @@ func (cfg *PlayConfig) playOne(idx int) (float64, int, error) {
 	deadline := time.Now().Add(cfg.PerJobTimeout)
 
 	var lastErr error
-	prev := -1
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			cfg.stats.retries.Add(1)
@@ -278,17 +223,10 @@ func (cfg *PlayConfig) playOne(idx int) (float64, int, error) {
 					idx, cfg.PerJobTimeout, attempt, lastErr)
 			}
 		}
-		// Pick the replica: the least-loaded balancer steers by polled
-		// load and avoids the replica whose attempt just failed.
-		pick := 0
-		if cfg.balancer != nil {
-			pick = cfg.balancer.acquire(prev)
-		}
-		ms, out, err := cfg.attemptOne(idx, cfg.BaseURLs[pick], body, deadline)
-		if cfg.balancer != nil {
-			cfg.balancer.release(pick, out == outcomeRetry)
-			prev = pick
-		}
+		// Each retry moves to the next replica, so with two or more a
+		// retry never lands where the failed attempt did.
+		base := cfg.BaseURLs[(idx+attempt)%len(cfg.BaseURLs)]
+		ms, out, err := cfg.attemptOne(idx, base, body, deadline)
 		if out != outcomeRetry {
 			return ms, out, err
 		}

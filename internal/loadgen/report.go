@@ -1,9 +1,7 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"additivity/internal/stats"
@@ -19,8 +17,8 @@ type Latency struct {
 	MaxMS  float64 `json:"max_ms"`
 }
 
-// Report is the final outcome of one trace replay — the artifact
-// recorded as BENCH_PR6.json. Succeeded counts jobs that reached the
+// Report is the final outcome of one trace replay, in the JSON shape
+// BENCH_PR6.json records. Succeeded counts jobs that reached the
 // done state on complete data; Degraded jobs reached done on
 // incomplete data; Aborted and Failed cover every other end.
 type Report struct {
@@ -135,23 +133,4 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "latency ms: mean %.1f, p50 %.1f, p90 %.1f, p99 %.1f, max %.1f",
 		r.Latency.MeanMS, r.Latency.P50MS, r.Latency.P90MS, r.Latency.P99MS, r.Latency.MaxMS)
 	return b.String()
-}
-
-// WriteFile records the report as indented JSON (the BENCH_PR6.json
-// format).
-func (r *Report) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ParseReport reads a report written by WriteFile.
-func ParseReport(data []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("loadgen: parse report: %w", err)
-	}
-	return &r, nil
 }

@@ -149,60 +149,105 @@ func TestPlayDoesNotRetryBadRequests(t *testing.T) {
 	}
 }
 
-// With one replica of the fleet dead, every job lands on the survivor
-// and the replay still ends clean with full results. The least-loaded
-// picker's probes and failure feedback steer later picks around the
-// dead replica, so the retry bill is bounded by the attempts in flight
-// when the first failures landed — possibly zero when a probe beat the
-// first pick.
-func TestPlayFailsOverToSurvivingReplica(t *testing.T) {
-	trace := fastTrace(t, 8)
-	daemon := newDaemon(t, service.Options{})
-
-	// A listener that is already closed: connections are refused, the
-	// shape a SIGKILLed replica leaves behind.
+// closedURL returns the URL of a listener that is already closed:
+// connections are refused, the shape a SIGKILLed replica leaves behind.
+func closedURL(t *testing.T) string {
+	t.Helper()
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadURL := "http://" + dead.Addr().String()
+	url := "http://" + dead.Addr().String()
 	dead.Close()
+	return url
+}
 
-	t.Run("least-loaded", func(t *testing.T) {
-		onResult, results, mu := collectResults(len(trace.Jobs))
-		report, err := Play(PlayConfig{
-			BaseURLs: []string{deadURL, daemon.URL},
-			Trace:    trace,
-			Players:  4,
-			OnResult: onResult,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.Failed != 0 || report.Aborted != 0 {
-			t.Fatalf("failover replay had hard failures: %+v", report)
-		}
-		if report.Succeeded != len(trace.Jobs) {
-			t.Fatalf("succeeded = %d, want %d", report.Succeeded, len(trace.Jobs))
-		}
-		// No worse than one retry per job.
-		if report.Retries > len(trace.Jobs) {
-			t.Fatalf("retries = %d, want <= %d", report.Retries, len(trace.Jobs))
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for i, res := range results {
-			if res == nil {
-				t.Fatalf("trace position %d has no result after failover", i)
+// With one replica of the fleet dead, every job lands on the survivor
+// and the replay still ends clean with full results. Attempt a of
+// position p goes to replica (p+a) % 2, so each position whose first
+// attempt hits the dead replica pays one retry on the live one. With
+// the dead replica in either slot that is half the positions (the even
+// ones when it is first, the odd ones when it is last), so the retry
+// bill is exactly len/2 either way.
+func TestPlayFailsOverToSurvivingReplica(t *testing.T) {
+	trace := fastTrace(t, 8)
+	daemon := newDaemon(t, service.Options{})
+	dead := closedURL(t)
+
+	for _, tc := range []struct {
+		name     string
+		baseURLs []string
+	}{
+		{"dead-first", []string{dead, daemon.URL}},
+		{"dead-last", []string{daemon.URL, dead}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			onResult, results, mu := collectResults(len(trace.Jobs))
+			report, err := Play(PlayConfig{
+				BaseURLs: tc.baseURLs,
+				Trace:    trace,
+				Players:  4,
+				OnResult: onResult,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Duplicate identities must still agree byte for byte.
-			for j := 0; j < i; j++ {
-				if traceJobsEqual(trace, i, j) && !bytes.Equal(results[i], results[j]) {
-					t.Fatalf("positions %d and %d share an identity but disagree", i, j)
+			if report.Failed != 0 || report.Aborted != 0 {
+				t.Fatalf("failover replay had hard failures: %+v", report)
+			}
+			if report.Succeeded != len(trace.Jobs) {
+				t.Fatalf("succeeded = %d, want %d", report.Succeeded, len(trace.Jobs))
+			}
+			if want := len(trace.Jobs) / 2; report.Retries != want {
+				t.Fatalf("retries = %d, want %d (one per position that starts on the dead replica)", report.Retries, want)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for i, res := range results {
+				if res == nil {
+					t.Fatalf("trace position %d has no result after failover", i)
+				}
+				// Duplicate identities must still agree byte for byte.
+				for j := 0; j < i; j++ {
+					if traceJobsEqual(trace, i, j) && !bytes.Equal(results[i], results[j]) {
+						t.Fatalf("positions %d and %d share an identity but disagree", i, j)
+					}
 				}
 			}
-		}
-	})
+		})
+	}
+}
+
+// Against a dead endpoint every job fails once its PerJobTimeout
+// budget runs out: Play itself returns no error, the report counts
+// each job failed, and the replay ends within a few budgets instead of
+// hanging.
+func TestPlayDeadEndpointFailsFast(t *testing.T) {
+	trace := fastTrace(t, 3)
+	cfg := PlayConfig{
+		BaseURL:       closedURL(t),
+		Trace:         trace,
+		Players:       1,
+		PerJobTimeout: 200 * time.Millisecond,
+	}
+	var report *Report
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		report, err = Play(cfg)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("dead-endpoint replay still running after 10s")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Failed != len(trace.Jobs) || report.Succeeded != 0 {
+		t.Fatalf("dead endpoint: %+v, want all %d jobs failed", report, len(trace.Jobs))
+	}
 }
 
 // Chaos drops and slow-loris reads are absorbed by the retry loop: the

@@ -1,9 +1,8 @@
 // Package loadgen is the ReqBench-style load harness for the
 // additivityd service: replayable JSON workload traces (skewed or
 // uniform job mixes, generated deterministically from a seed), a
-// bounded player pool feeding a request channel, per-second progress
-// snapshots, and a final report with latency percentiles and
-// success/error/degraded counters.
+// bounded player pool feeding a request channel, and a final report
+// with latency percentiles and success/error/degraded counters.
 //
 // A trace is a *replayable* artifact: generating it twice from the
 // same configuration yields byte-identical JSON, and replaying it

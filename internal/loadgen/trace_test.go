@@ -2,8 +2,6 @@ package loadgen
 
 import (
 	"bytes"
-	"os"
-	"reflect"
 	"testing"
 
 	"additivity/internal/service"
@@ -187,28 +185,6 @@ func TestBuildReportCounters(t *testing.T) {
 	}
 	if len(r.Errors) != 2 {
 		t.Errorf("errors = %v, want the two distinct messages", r.Errors)
-	}
-}
-
-// Report files must round-trip through WriteFile/ParseReport.
-func TestReportFileRoundTrip(t *testing.T) {
-	r := &Report{Trace: "t", Seed: 9, Jobs: 5, Distinct: 2, Players: 3,
-		Succeeded: 5, ElapsedS: 1.5, ReqPerSec: 3.33,
-		Latency: Latency{MeanMS: 4, P50MS: 3, P90MS: 6, P99MS: 7, MaxMS: 8}}
-	path := t.TempDir() + "/report.json"
-	if err := r.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseReport(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, r) {
-		t.Errorf("round-trip changed the report: %+v != %+v", got, r)
 	}
 }
 

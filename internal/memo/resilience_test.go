@@ -28,7 +28,7 @@ func stageLease(t *testing.T, dir string, k Key, pid int, owner string, seq uint
 // acquire then succeeds — but acting on it would recompute a unit the
 // fleet already measured. acquireLead must re-probe after the win,
 // serve the published entry, and leave no lease behind. (Caught live
-// by fleet_check.sh as a nonzero duplicate_stores count.)
+// by the shared-dir fleet gate as a nonzero duplicate_stores count.)
 func TestAcquireLeadReprobesAfterWin(t *testing.T) {
 	dir := t.TempDir()
 	a := mustCache(t, Options{Dir: dir})

@@ -14,7 +14,7 @@ import (
 )
 
 // combinedDigest folds per-result sha256s in trace order, exactly the
-// way additivity-load's -digest flag does.
+// way additivityd's TestGates digests a replay.
 func combinedDigest(results [][]byte) [32]byte {
 	combined := sha256.New()
 	for _, r := range results {
