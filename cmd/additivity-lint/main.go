@@ -8,12 +8,14 @@
 //	              (tolerance or bit identity), never bare ==/!=
 //	fingerprint — every field of a struct feeding a cache key must be
 //	              written into the key
-//	locksafe    — every Lock pairs with an Unlock on all CFG exit
-//	              paths; no blocking op while a serving mutex is held;
-//	              no by-value copy of lock-bearing structs
-//	ctxflow     — request-scoped call chains thread ctx;
-//	              context.Background() is banned outside main, tests
-//	              and documented detached workers
+//	serving     — in serving code, each Lock is a top-level statement
+//	              followed by its deferred Unlock, with nothing after
+//	              it that blocks; context.Background() and TODO() are
+//	              banned outside main, tests and documented detached
+//	              workers
+//
+// Copies of lock-bearing values are left to go vet's copylocks check,
+// which the smoke test runs over the module.
 //
 // Usage:
 //
@@ -44,20 +46,18 @@ import (
 	"strings"
 
 	"additivity/internal/analysis"
-	"additivity/internal/analysis/passes/ctxflow"
 	"additivity/internal/analysis/passes/determinism"
 	"additivity/internal/analysis/passes/fingerprint"
 	"additivity/internal/analysis/passes/floatcmp"
-	"additivity/internal/analysis/passes/locksafe"
+	"additivity/internal/analysis/passes/serving"
 )
 
 // all lists every registered pass.
 var all = []*analysis.Analyzer{
-	ctxflow.Analyzer,
 	determinism.Analyzer,
 	fingerprint.Analyzer,
 	floatcmp.Analyzer,
-	locksafe.Analyzer,
+	serving.Analyzer,
 }
 
 func main() {

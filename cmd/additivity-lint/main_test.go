@@ -40,7 +40,9 @@ func runLint(t *testing.T, root, bin string, args ...string) (string, int) {
 
 // TestSmoke is the end-to-end contract of the lint tool: the known-bad
 // fixtures trip every check with exit 1, and the repository itself is
-// clean with exit 0.
+// clean with exit 0. It also holds go vet's copylocks check, which
+// owns lock copies: vet must report the serving fixture's three copies
+// and pass the tree.
 func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and typechecks the module twice")
@@ -52,15 +54,15 @@ func TestSmoke(t *testing.T) {
 		"./internal/analysis/passes/determinism/testdata/src/detfix",
 		"./internal/analysis/passes/floatcmp/testdata/src/floatcmpfix",
 		"./internal/analysis/passes/fingerprint/testdata/src/fingerprintfix",
-		"./internal/analysis/passes/locksafe/testdata/src/locksafefix",
-		"./internal/analysis/passes/ctxflow/testdata/src/ctxflowfix",
+		"./internal/analysis/passes/serving/testdata/src/servingfix",
+		"./internal/analysis/passes/serving/testdata/src/servingctxfix",
 	}
 	out, code := runLint(t, root, bin, fixtures...)
 	if code != 1 {
 		t.Fatalf("fixture run: exit %d, want 1\n%s", code, out)
 	}
 	for _, check := range []string{
-		"(determinism)", "(floatcmp)", "(fingerprint)", "(locksafe)", "(ctxflow)",
+		"(determinism)", "(floatcmp)", "(fingerprint)", "(serving)",
 	} {
 		if !strings.Contains(out, check) {
 			t.Errorf("fixture run: no %s finding in output:\n%s", check, out)
@@ -76,6 +78,26 @@ func TestSmoke(t *testing.T) {
 	if code != 0 || strings.TrimSpace(out) != "" {
 		t.Fatalf("tree run: exit %d, want 0 with no findings\n%s", code, out)
 	}
+
+	out, err := goVetCopylocks(root, "./internal/analysis/passes/serving/testdata/src/servingfix")
+	for _, want := range []string{
+		"copyParam passes lock by value", "copies lock value to snapshot", "range var h copies lock",
+	} {
+		if err == nil || !strings.Contains(out, want) {
+			t.Errorf("go vet -copylocks on the serving fixture: %v, want %q\n%s", err, want, out)
+		}
+	}
+	if out, err := goVetCopylocks(root, "./..."); err != nil {
+		t.Fatalf("go vet -copylocks ./...: %v\n%s", err, out)
+	}
+}
+
+// goVetCopylocks runs go vet's copylocks check alone on the patterns.
+func goVetCopylocks(root string, patterns ...string) (string, error) {
+	cmd := exec.Command("go", append([]string{"vet", "-copylocks"}, patterns...)...)
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput()
+	return string(out), err
 }
 
 // TestListAndBadCheck covers the flag surface: -list names every pass,
@@ -92,7 +114,7 @@ func TestListAndBadCheck(t *testing.T) {
 		t.Fatalf("-list: exit %d\n%s", code, out)
 	}
 	for _, name := range []string{
-		"determinism", "floatcmp", "fingerprint", "locksafe", "ctxflow",
+		"determinism", "floatcmp", "fingerprint", "serving",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)

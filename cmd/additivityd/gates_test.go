@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"regexp"
-	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -35,12 +34,7 @@ func TestGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the binary")
 	}
-	// Replicas are race-instrumented exactly when this test binary is.
-	var flags []string
-	if raceEnabled() {
-		flags = append(flags, "-race")
-	}
-	bin := buildBinary(t, flags...)
+	bin := buildBinary(t)
 	trace, err := loadgen.GenerateTrace(loadgen.GenConfig{
 		Jobs: 200, Seed: 1, Distinct: 8, Platform: "haswell", Skewed: true, Zipf: 1.2,
 	})
@@ -264,20 +258,6 @@ func replay(t *testing.T, bin string, trace *loadgen.Trace, players int, fleet [
 		combined.Write(sum[:])
 	}
 	return hex.EncodeToString(combined.Sum(nil)), report
-}
-
-// raceEnabled reports whether this test binary was built with -race.
-func raceEnabled() bool {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range info.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
 }
 
 // cacheStats decodes the replica's /statsz and returns its measurement

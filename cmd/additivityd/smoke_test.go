@@ -9,25 +9,41 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 )
 
-// buildBinary compiles the daemon into a temp dir, passing flags to go
-// build, and returns its path. The drain smoke tests below build
-// without -race: a job still in flight at SIGTERM makes Server.Drain's
-// jobWG.Wait race the jobWG.Add in startPooled that admitted it, and
-// the detector reports that on most such runs.
-func buildBinary(t *testing.T, flags ...string) string {
+// buildBinary compiles the daemon into a temp dir and returns its
+// path. The daemon is race-instrumented exactly when this test binary
+// is, so a race in a replica fails the test that booted it.
+func buildBinary(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "additivityd")
-	args := append(append([]string{"build", "-o", bin}, flags...), ".")
-	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+	args := []string{"build", "-o", bin}
+	if raceEnabled() {
+		args = append(args, "-race")
+	}
+	if out, err := exec.Command("go", append(args, ".")...).CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// raceEnabled reports whether this test binary was built with -race.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // daemon is one running additivityd under test. done is closed when

@@ -1,14 +1,16 @@
 // Package analysis is a stdlib-only static-analysis framework for the
-// repository's determinism, RNG-fork and cache-fingerprint contracts.
+// repository's determinism, float-comparison, cache-fingerprint and
+// serving contracts.
 //
 // The engine's reproducibility guarantees (Workers=1 ≡ Workers=N,
 // byte-identical resume, content-addressed cache hits indistinguishable
-// from fresh gathers) all rest on invariants that the type system cannot
-// express: no ambient state in result-producing code, no shared RNG
-// streams captured by pool workers, no config field missing from a cache
-// fingerprint, no fault error losing its class on the way up. This
-// package provides the machinery to enforce those invariants at analysis
-// time — a loader that typechecks the module via `go list -export`
+// from fresh gathers) rest on invariants that the type system cannot
+// express: no ambient state in result-producing code, no bare float
+// equality, no config field missing from a cache fingerprint. The
+// serving stack adds two more: every mutex is released by the defer
+// that follows its Lock, and no request chain mints a detached context.
+// This package provides the machinery to enforce those invariants at
+// analysis time — a loader that typechecks the module via `go list -export`
 // export data (go/parser + go/types + go/importer only; no dependency on
 // golang.org/x/tools), a Pass/Analyzer model, //lint:ignore suppression
 // handling, and deterministic diagnostic ordering — and
@@ -91,9 +93,9 @@ func InScope(pkgPath string, suffixes ...string) bool {
 
 // IsTestFile reports whether the file containing pos is a _test.go
 // file. The loader merges in-package test files into their package so
-// type information stays complete; the flow-sensitive concurrency
-// passes skip them, because test goroutines and contexts follow the
-// test harness's lifecycle rather than the serving contracts.
+// type information stays complete; the serving pass skips them,
+// because test goroutines and contexts follow the test harness's
+// lifecycle rather than the serving contracts.
 func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
@@ -111,17 +113,6 @@ func Deref(t types.Type) types.Type {
 		return p.Elem()
 	}
 	return t
-}
-
-// NamedAs reports whether t (possibly behind a pointer) is the named
-// type pkgSuffix.name, matching the package by import-path suffix so the
-// check is independent of the module root.
-func NamedAs(t types.Type, pkgSuffix, name string) bool {
-	n, ok := Deref(t).(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Name() == name && PathMatches(n.Obj().Pkg().Path(), pkgSuffix)
 }
 
 // CalleeFunc resolves a call expression to the *types.Func it invokes
@@ -156,15 +147,4 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// IsCallTo reports whether the call invokes the function name declared
-// in the package matching pkgPath (exact stdlib path, or module-path
-// suffix such as "internal/parallel").
-func IsCallTo(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Name() == name && PathMatches(fn.Pkg().Path(), pkgPath)
 }

@@ -46,10 +46,6 @@ type PlayConfig struct {
 	// keyed by the job's position in the trace. Called from player
 	// goroutines; the callback must be safe for concurrent use.
 	OnResult func(index int, result []byte)
-	// Chaos, when set, injects seeded connection drops and slow-loris
-	// reads into every exchange. The replay must still end clean: chaos
-	// faults are absorbed by the retry loop, never surfaced as failures.
-	Chaos *ChaosConfig
 
 	// waitQuery is the precomputed "?wait=...&result=1" suffix shared by
 	// every submit and poll URL, built once in fill.
@@ -57,9 +53,6 @@ type PlayConfig struct {
 	// stats collects the replay's resilience counters; one instance is
 	// shared by every player (fill allocates it).
 	stats *runStats
-	// chaos is the installed fault-injecting transport, kept for its
-	// counters (nil without Chaos).
-	chaos *chaosTransport
 }
 
 // runStats holds the cross-player resilience counters of one replay.
@@ -119,18 +112,6 @@ func (c *PlayConfig) fill() error {
 	}
 	if c.PerJobTimeout == 0 {
 		c.PerJobTimeout = 120 * time.Second
-	}
-	if c.Chaos != nil {
-		ct, err := newChaosTransport(c.Client.Transport, *c.Chaos)
-		if err != nil {
-			return err
-		}
-		// Wrap a shallow copy so the caller's client keeps its own
-		// transport.
-		cl := *c.Client
-		cl.Transport = ct
-		c.Client = &cl
-		c.chaos = ct
 	}
 	c.waitQuery = "?wait=" + c.PollWait.String() + "&result=1"
 	c.stats = &runStats{}
@@ -298,7 +279,7 @@ func (cfg *PlayConfig) attemptOne(idx int, base string, body []byte, deadline ti
 func (cfg *PlayConfig) classify(err error, fatal4xx bool) int {
 	var he *httpError
 	if !errors.As(err, &he) {
-		// Transport-level: dial refused, chaos drop, severed read.
+		// Transport-level: dial refused, severed connection or read.
 		return outcomeRetry
 	}
 	switch he.code {

@@ -41,11 +41,6 @@ type Report struct {
 	Draining int `json:"draining"`
 	Retries  int `json:"retries"`
 
-	// ChaosDrops and ChaosSlows count the faults the chaos transport
-	// injected into this replay (zero and omitted without chaos).
-	ChaosDrops int `json:"chaos_drops,omitempty"`
-	ChaosSlows int `json:"chaos_slows,omitempty"`
-
 	ElapsedS  float64 `json:"elapsed_s"`
 	ReqPerSec float64 `json:"req_per_sec"`
 	Latency   Latency `json:"latency"`
@@ -76,10 +71,6 @@ func buildReport(cfg PlayConfig, latenciesMS []float64, outcomes []int32, errMsg
 		r.Shed = int(cfg.stats.shed.Load())
 		r.Draining = int(cfg.stats.draining.Load())
 		r.Retries = int(cfg.stats.retries.Load())
-	}
-	if cfg.chaos != nil {
-		r.ChaosDrops = int(cfg.chaos.drops.Load())
-		r.ChaosSlows = int(cfg.chaos.slows.Load())
 	}
 	var okLatencies []float64
 	seenErr := map[string]bool{}
@@ -123,12 +114,8 @@ func (r *Report) String() string {
 		r.Trace, r.Jobs, r.Distinct, r.Players, r.ElapsedS, r.ReqPerSec)
 	fmt.Fprintf(&b, "outcomes: %d succeeded, %d degraded, %d aborted, %d failed\n",
 		r.Succeeded, r.Degraded, r.Aborted, r.Failed)
-	if r.Shed+r.Draining+r.Retries+r.ChaosDrops+r.ChaosSlows > 0 {
-		fmt.Fprintf(&b, "resilience: %d shed, %d draining, %d retries", r.Shed, r.Draining, r.Retries)
-		if r.ChaosDrops+r.ChaosSlows > 0 {
-			fmt.Fprintf(&b, " (chaos: %d drops, %d slow reads)", r.ChaosDrops, r.ChaosSlows)
-		}
-		b.WriteByte('\n')
+	if r.Shed+r.Draining+r.Retries > 0 {
+		fmt.Fprintf(&b, "resilience: %d shed, %d draining, %d retries\n", r.Shed, r.Draining, r.Retries)
 	}
 	fmt.Fprintf(&b, "latency ms: mean %.1f, p50 %.1f, p90 %.1f, p99 %.1f, max %.1f",
 		r.Latency.MeanMS, r.Latency.P50MS, r.Latency.P90MS, r.Latency.P99MS, r.Latency.MaxMS)

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,85 +246,6 @@ func TestPlayDeadEndpointFailsFast(t *testing.T) {
 	}
 	if report.Failed != len(trace.Jobs) || report.Succeeded != 0 {
 		t.Fatalf("dead endpoint: %+v, want all %d jobs failed", report, len(trace.Jobs))
-	}
-}
-
-// Chaos drops and slow-loris reads are absorbed by the retry loop: the
-// replay ends with zero failures, every payload intact, and the chaos
-// counters prove faults actually fired.
-func TestPlaySurvivesChaos(t *testing.T) {
-	trace := fastTrace(t, 20)
-	daemon := newDaemon(t, service.Options{})
-
-	onResult, results, mu := collectResults(len(trace.Jobs))
-	report, err := Play(PlayConfig{
-		BaseURL: daemon.URL,
-		Trace:   trace,
-		Players: 4,
-		Chaos: &ChaosConfig{
-			Seed:      42,
-			DropRate:  0.25,
-			SlowRate:  0.25,
-			SlowChunk: 64,
-			SlowDelay: 200 * time.Microsecond,
-		},
-		OnResult: onResult,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Failed != 0 || report.Aborted != 0 {
-		t.Fatalf("chaos replay had hard failures: %+v", report)
-	}
-	if report.Succeeded != len(trace.Jobs) {
-		t.Fatalf("succeeded = %d, want %d", report.Succeeded, len(trace.Jobs))
-	}
-	if report.ChaosDrops == 0 {
-		t.Fatal("chaos replay injected no drops; the fault path went unexercised")
-	}
-	if report.ChaosSlows == 0 {
-		t.Fatal("chaos replay injected no slow reads")
-	}
-	if report.Retries < report.ChaosDrops {
-		t.Fatalf("retries = %d < chaos drops = %d; dropped exchanges must be retried",
-			report.Retries, report.ChaosDrops)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, res := range results {
-		if res == nil {
-			t.Fatalf("trace position %d has no result under chaos", i)
-		}
-	}
-}
-
-// The slow-loris body must stall the reader without changing a byte.
-func TestSlowBodyPreservesBytes(t *testing.T) {
-	payload := strings.Repeat("additivity", 200)
-	sb := &slowBody{
-		body:  io.NopCloser(strings.NewReader(payload)),
-		chunk: 37,
-		delay: time.Microsecond,
-	}
-	defer sb.Close()
-	got, err := io.ReadAll(sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != payload {
-		t.Fatalf("slow body corrupted the payload: %d bytes vs %d", len(got), len(payload))
-	}
-}
-
-// Chaos configuration is validated up front.
-func TestPlayRejectsBadChaosRates(t *testing.T) {
-	trace := fastTrace(t, 2)
-	for _, cfg := range []ChaosConfig{{DropRate: -0.1}, {DropRate: 1.5}, {SlowRate: 2}} {
-		chaos := cfg
-		_, err := Play(PlayConfig{BaseURL: "http://127.0.0.1:1", Trace: trace, Chaos: &chaos})
-		if err == nil || !strings.Contains(err.Error(), "chaos rates") {
-			t.Fatalf("chaos %+v: err = %v, want rate validation error", cfg, err)
-		}
 	}
 }
 

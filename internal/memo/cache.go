@@ -246,6 +246,52 @@ type shard struct {
 	inflight map[Key]*flight
 }
 
+// join resolves key in the shard: the resident payload (fl nil), the
+// flight already computing it, or a new flight registered for this
+// caller to lead.
+func (s *shard) join(key Key) (payload []byte, fl *flight, lead bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.entries[key]; ok {
+		s.order.MoveToFront(el)
+		return el.Value.(*entry).payload, nil, false
+	}
+	if fl, ok := s.inflight[key]; ok {
+		return nil, fl, false
+	}
+	fl = &flight{done: make(chan struct{})}
+	s.inflight[key] = fl
+	return nil, fl, true
+}
+
+// land unregisters key's flight once its leader has closed it.
+func (s *shard) land(key Key) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.inflight, key)
+}
+
+// get returns key's resident payload, moving it to the front of the
+// LRU when touch is set.
+func (s *shard) get(key Key, touch bool) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.entries[key]
+	if !ok {
+		return nil, false
+	}
+	if touch {
+		s.order.MoveToFront(el)
+	}
+	return el.Value.(*entry).payload, true
+}
+
+func (s *shard) size() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.order.Len()
+}
+
 type entry struct {
 	key     Key
 	payload []byte
@@ -334,30 +380,18 @@ func (c *Cache) GetOrCompute(key Key, compute func() (payload []byte, cacheable 
 // — and reports which one did. It never counts: GetOrCompute does.
 func (c *Cache) resolve(key Key, compute func() ([]byte, bool, error)) ([]byte, Outcome, error) {
 	s := c.shardOf(key)
-
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
-		p := el.Value.(*entry).payload
-		s.mu.Unlock()
+	p, fl, lead := s.join(key)
+	switch {
+	case fl == nil:
 		return p, Hit, nil
-	}
-	if fl, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
+	case !lead:
 		<-fl.done
 		return fl.payload, Merged, fl.err
 	}
-	// This caller leads the flight for key.
-	fl := &flight{done: make(chan struct{})}
-	s.inflight[key] = fl
-	s.mu.Unlock()
-
 	payload, outcome, err := c.lead(key, s, compute)
 	fl.payload, fl.err = payload, err
 	close(fl.done)
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
+	s.land(key)
 	return payload, outcome, err
 }
 
@@ -374,17 +408,11 @@ func (c *Cache) Lookup(key Key) ([]byte, bool) {
 	if c == nil || key.IsZero() {
 		return nil, false
 	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
-		p := el.Value.(*entry).payload
-		s.mu.Unlock()
+	p, ok := c.shardOf(key).get(key, true)
+	if ok {
 		c.outcomes[Hit].Add(1)
-		return p, true
 	}
-	s.mu.Unlock()
-	return nil, false
+	return p, ok
 }
 
 // SetPeers installs (or, with nil, removes) the network peer tier.
@@ -396,16 +424,15 @@ func (c *Cache) SetPeers(p PeerSource) {
 		return
 	}
 	c.peersMu.Lock()
+	defer c.peersMu.Unlock()
 	c.peers = p
-	c.peersMu.Unlock()
 }
 
 // peerSource returns the installed peer tier, or nil.
 func (c *Cache) peerSource() PeerSource {
 	c.peersMu.RLock()
-	p := c.peers
-	c.peersMu.RUnlock()
-	return p
+	defer c.peersMu.RUnlock()
+	return c.peers
 }
 
 // LookupStored probes the local layers only — LRU, then disk — for a
@@ -422,13 +449,9 @@ func (c *Cache) LookupStored(key Key) ([]byte, bool) {
 		return nil, false
 	}
 	s := c.shardOf(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		p := el.Value.(*entry).payload
-		s.mu.Unlock()
+	if p, ok := s.get(key, false); ok {
 		return p, true
 	}
-	s.mu.Unlock()
 	if payload, ok := c.diskLoad(key); ok {
 		c.retain(key, s, payload)
 		return payload, true
@@ -609,10 +632,7 @@ func (c *Cache) Len() int {
 	}
 	n := 0
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
+		n += c.shards[i].size()
 	}
 	return n
 }

@@ -257,6 +257,7 @@ func (s *DiskStore) Compact(maxBytes int64) error {
 	if maxBytes <= 0 {
 		return nil
 	}
+	//lint:ignore serving compactMu exists to serialise compaction passes, which are disk I/O by nature; it guards no in-memory serving state
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	s.compactions.Add(1)

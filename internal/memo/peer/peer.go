@@ -173,7 +173,7 @@ func (c *Client) Fetch(key memo.Key) ([]byte, bool) {
 	// The fan-out runs inside the flight leader and serves every local
 	// waiter, so no single requester's cancellation may abort it; its
 	// lifetime is bounded by the per-attempt peer timeouts instead.
-	//lint:ignore ctxflow single-flight leader work shared by all waiters; detached by design, bounded by per-attempt timeouts
+	//lint:ignore serving single-flight leader work shared by all waiters; detached by design, bounded by per-attempt timeouts
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel() // first valid response wins; losers are cancelled here
 

@@ -109,9 +109,9 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx cont
 	)
 	record := func(i int, err error) {
 		mu.Lock()
+		defer mu.Unlock()
 		errs = append(errs, taskError{i, err})
 		failed = true
-		mu.Unlock()
 	}
 	stopped := func() bool {
 		mu.Lock()

@@ -103,10 +103,17 @@ type job struct {
 	degraded bool
 }
 
-func (j *job) snapshot() (JobState, string, Progress) {
+// outcome returns the job's state, error message and result payload.
+func (j *job) outcome() (JobState, string, []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state, j.errMsg, j.progress
+	return j.state, j.errMsg, j.result
+}
+
+func (j *job) setProgress(done, total int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.progress = Progress{Done: done, Total: total}
 }
 
 // JobStatus is the poll-endpoint view of a job.
@@ -419,8 +426,7 @@ func (s *Server) Stats() Stats {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining",
-			"server is draining: not accepting new jobs")
+		writeError(w, http.StatusServiceUnavailable, "draining", errDraining)
 		return
 	}
 	var req JobRequest
@@ -467,7 +473,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("accept queue is full (%d jobs queued); retry later", s.queueLimit))
 			return
 		}
-		st = s.startPooled(req, timeout)
+		pooled, ok := s.startPooled(req, timeout)
+		if !ok {
+			s.inState[StateQueued.slot()].Add(-1)
+			writeError(w, http.StatusServiceUnavailable, "draining", errDraining)
+			return
+		}
+		st = pooled
 	}
 	if wait > 0 && !st.State.Terminal() {
 		if wait > maxWait {
@@ -568,23 +580,51 @@ func (s *Server) submitFast(ctx context.Context, req JobRequest) (JobStatus, boo
 		// mid-submit stops paying for its own prediction.
 		payload, _, jobErr = executeCached(ctx, s.opts.Cache, req, hooks{})
 	}
-	id := "job-" + strconv.FormatUint(s.nextID.Add(1), 10)
+	if jobErr != nil {
+		return s.bornTerminal(req, StateFailed, nil, jobErr.Error()), true
+	}
+	return s.bornTerminal(req, StateDone, payload, ""), true
+}
+
+// bornTerminal registers a job born terminal: it never queues, so it shares
+// the pre-closed done channel and cancels nothing.
+func (s *Server) bornTerminal(req JobRequest, state JobState, payload []byte, errMsg string) JobStatus {
 	j := &job{
-		id: id, kind: req.Kind, req: req,
+		id: s.newID(), kind: req.Kind, req: req,
 		cancel: noopCancel, doneCh: closedCh,
+		state: state, result: payload, errMsg: errMsg,
 	}
-	if jobErr == nil {
-		j.state, j.result = StateDone, payload
-	} else {
-		j.state, j.errMsg = StateFailed, jobErr.Error()
-	}
-	s.inState[j.state.slot()].Add(1)
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.mu.Unlock()
+	s.inState[state.slot()].Add(1)
+	s.register(j)
 	s.jobsSubmitted.Add(1)
-	return s.status(j), true
+	return s.status(j)
+}
+
+func (s *Server) newID() string {
+	return "job-" + strconv.FormatUint(s.nextID.Add(1), 10)
+}
+
+// register adds a job to the registry.
+func (s *Server) register(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+}
+
+// admit registers a pooled job and counts it in flight, unless the
+// server is draining. StartDraining takes the same lock, so every
+// jobWG.Add happens before the Wait in Drain.
+func (s *Server) admit(j *job) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	s.jobWG.Add(1)
+	return true
 }
 
 // Submit enqueues a normalised job and returns its initial status. The
@@ -593,17 +633,26 @@ func (s *Server) submitFast(ctx context.Context, req JobRequest) (JobStatus, boo
 // can settle without engine work — warm job-cache hits and analytic
 // predictions — return an already-terminal status instead of queueing.
 // Direct submission is never shed: admission control applies to the
-// HTTP surface, where a caller can be told to retry.
+// HTTP surface, where a caller can be told to retry. Once the server
+// is draining, a job that needs the pool is born aborted.
 func (s *Server) Submit(req JobRequest) JobStatus {
 	// Direct in-process submission has no inbound request whose
 	// cancellation could scope the fast path's inline work.
-	//lint:ignore ctxflow direct in-process submission has no request context to thread; the fast path is bounded catalog arithmetic
+	//lint:ignore serving direct in-process submission has no request context to thread; the fast path is bounded catalog arithmetic
 	if st, ok := s.submitFast(context.Background(), req); ok {
 		return st
 	}
 	s.inState[StateQueued.slot()].Add(1)
-	return s.startPooled(req, s.opts.DefaultJobTimeout)
+	if st, ok := s.startPooled(req, s.opts.DefaultJobTimeout); ok {
+		return st
+	}
+	s.inState[StateQueued.slot()].Add(-1)
+	return s.bornTerminal(req, StateAborted, nil, errDraining)
 }
+
+// errDraining is the error of a submission refused by a draining
+// server.
+const errDraining = "server is draining: not accepting new jobs"
 
 // reserveQueueSlot counts one more queued job, failing when the accept
 // queue is at its bound. The CAS loop keeps the bound exact under
@@ -628,14 +677,14 @@ func (s *Server) reserveQueueSlot() bool {
 // startPooled creates a pooled job whose queued count is already
 // reserved, applying the given deadline (0: none) to its whole
 // lifetime — queue wait included, so a saturated pool cannot park a
-// deadlined job forever.
-func (s *Server) startPooled(req JobRequest, timeout time.Duration) JobStatus {
-	id := "job-" + strconv.FormatUint(s.nextID.Add(1), 10)
+// deadlined job forever. It reports false, creating nothing, once the
+// server is draining; the caller still owns the reserved count.
+func (s *Server) startPooled(req JobRequest, timeout time.Duration) (JobStatus, bool) {
 	// A pooled job deliberately outlives the submitting request: the
 	// client may disconnect and poll for the result later, so the job
 	// context detaches from the request and is bounded by the job
 	// deadline instead.
-	//lint:ignore ctxflow pooled jobs are detached workers by design; their lifetime is bounded by the job deadline, not the submitting request
+	//lint:ignore serving pooled jobs are detached workers by design; their lifetime is bounded by the job deadline, not the submitting request
 	base := context.Background()
 	var ctx context.Context
 	var cancel context.CancelFunc
@@ -645,18 +694,17 @@ func (s *Server) startPooled(req JobRequest, timeout time.Duration) JobStatus {
 		ctx, cancel = context.WithCancel(base)
 	}
 	j := &job{
-		id: id, kind: req.Kind, req: req,
+		id: s.newID(), kind: req.Kind, req: req,
 		cancel: cancel, doneCh: make(chan struct{}),
 		state: StateQueued,
 	}
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.mu.Unlock()
+	if !s.admit(j) {
+		cancel()
+		return JobStatus{}, false
+	}
 	s.jobsSubmitted.Add(1)
-	s.jobWG.Add(1)
 	go s.run(ctx, j)
-	return JobStatus{ID: id, Kind: j.kind, State: StateQueued}
+	return JobStatus{ID: j.id, Kind: j.kind, State: StateQueued}, true
 }
 
 // run executes one job on the bounded pool and settles its terminal
@@ -676,23 +724,32 @@ func (s *Server) run(ctx context.Context, j *job) {
 		s.finish(j, nil, nil, ctx.Err())
 		return
 	}
-	j.mu.Lock()
-	s.setState(j, StateRunning)
-	j.mu.Unlock()
-	payload, report, err := executeCached(ctx, s.opts.Cache, j.req, hooks{
-		progress: func(done, total int) {
-			j.mu.Lock()
-			j.progress = Progress{Done: done, Total: total}
-			j.mu.Unlock()
-		},
-	})
+	s.markRunning(j)
+	payload, report, err := executeCached(ctx, s.opts.Cache, j.req, hooks{progress: j.setProgress})
 	s.finish(j, payload, report, err)
 }
 
-// finish settles a job's terminal state and folds its resilience
-// accounting into the server counters.
-func (s *Server) finish(j *job, payload []byte, report *core.CheckReport, err error) {
+func (s *Server) markRunning(j *job) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	s.setState(j, StateRunning)
+}
+
+// finish folds a job's resilience accounting into the server counters
+// and settles its terminal state.
+func (s *Server) finish(j *job, payload []byte, report *core.CheckReport, err error) {
+	degraded := false
+	if report != nil {
+		s.faultRetries.Add(report.Retries)
+		s.faultRecov.Add(report.Recovered)
+		if report.Degraded() {
+			s.degradedJobs.Add(1)
+			degraded = true
+		}
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.degraded = degraded
 	switch {
 	case err == nil:
 		j.result = payload
@@ -707,17 +764,6 @@ func (s *Server) finish(j *job, payload []byte, report *core.CheckReport, err er
 	default:
 		j.errMsg = err.Error()
 		s.setState(j, StateFailed)
-	}
-	j.mu.Unlock()
-	if report != nil {
-		s.faultRetries.Add(report.Retries)
-		s.faultRecov.Add(report.Recovered)
-		if report.Degraded() {
-			s.degradedJobs.Add(1)
-			j.mu.Lock()
-			j.degraded = true
-			j.mu.Unlock()
-		}
 	}
 }
 
@@ -739,20 +785,24 @@ func (s *Server) lookup(id string) *job {
 
 func (s *Server) status(j *job) JobStatus {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	st := JobStatus{ID: j.id, Kind: j.kind, State: j.state, Error: j.errMsg, Degraded: j.degraded}
 	if j.progress.Total > 0 {
 		p := j.progress
 		st.Progress = &p
 	}
-	j.mu.Unlock()
 	return st
 }
 
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
+// jobIDs copies the registry's ids in submission order.
+func (s *Server) jobIDs() []string {
 	s.mu.Lock()
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.order...)
+}
+
+func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
+	ids := s.jobIDs()
 	out := make([]JobStatus, 0, len(ids))
 	for _, id := range ids {
 		if j := s.lookup(id); j != nil {
@@ -803,12 +853,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			"no job "+r.PathValue("id"))
 		return
 	}
-	state, errMsg, _ := j.snapshot()
+	state, errMsg, result := j.outcome()
 	switch state {
 	case StateDone:
-		j.mu.Lock()
-		result := j.result
-		j.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Length", strconv.Itoa(len(result)))
 		w.WriteHeader(http.StatusOK)
@@ -848,8 +895,12 @@ func (s *Server) Abort(id string) bool {
 
 // StartDraining flips the server into drain mode: new submissions are
 // refused with 503 while queued and running jobs continue to
-// completion.
-func (s *Server) StartDraining() { s.draining.Store(true) }
+// completion. Once it returns, no job can join the set Drain waits on.
+func (s *Server) StartDraining() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.draining.Store(true)
+}
 
 // Drain blocks until every in-flight job has settled or ctx expires.
 // Call StartDraining first so the in-flight set cannot grow.
@@ -870,11 +921,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // AbortAll cancels every non-terminal job — the forced-shutdown path
 // when a drain deadline expires.
 func (s *Server) AbortAll() {
-	s.mu.Lock()
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
-	s.mu.Unlock()
-	for _, id := range ids {
+	for _, id := range s.jobIDs() {
 		if j := s.lookup(id); j != nil {
 			j.cancel()
 		}
@@ -902,14 +949,12 @@ func (s *Server) JobResult(id string) ([]byte, error) {
 	if j == nil {
 		return nil, fmt.Errorf("service: no job %s", id)
 	}
-	state, errMsg, _ := j.snapshot()
+	state, errMsg, result := j.outcome()
 	if state != StateDone {
 		if errMsg == "" {
 			errMsg = string(state)
 		}
 		return nil, fmt.Errorf("service: job %s is %s: %s", id, state, errMsg)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result, nil
+	return result, nil
 }

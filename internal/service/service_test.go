@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -395,6 +397,70 @@ func TestDrainRefusesAndSettles(t *testing.T) {
 	}
 	if got, err := srv.WaitJob(ctx, st.ID); err != nil || got.State != StateDone {
 		t.Fatalf("in-flight job after drain = %+v, %v; want done", got, err)
+	}
+
+	// An in-process submission that needs the pool is born aborted.
+	req := JobRequest{Kind: KindCheck}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Submit(req); got.State != StateAborted || !strings.Contains(got.Error, "server is draining") {
+		t.Fatalf("in-process submit while draining = %+v, want aborted: server is draining", got)
+	}
+	checkJobsAddUp(t, getStats(t, ts).Jobs)
+}
+
+// Submissions racing StartDraining and Drain are either admitted, and
+// then waited for, or refused with 503: Drain never returns while an
+// admitted job is still in flight, and no refused one is counted.
+// Under -race this also checks that every jobWG.Add happens before
+// Drain's Wait.
+func TestDrainRacesSubmissions(t *testing.T) {
+	const rounds, submitters, perSubmitter = 20, 4, 8
+	for round := 0; round < rounds; round++ {
+		srv := NewServer(Options{MaxConcurrentJobs: 2})
+		var accepted atomic.Int64
+		first := make(chan struct{})
+		var once sync.Once
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perSubmitter; i++ {
+					// A 1ns deadline aborts each job as soon as it runs, so
+					// the in-flight count keeps returning to zero.
+					body := fmt.Sprintf(`{"kind":"check","params":{"seed":%d,"compounds":2,"reps":2}}`, 880000+100*g+i)
+					rec := httptest.NewRecorder()
+					srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?timeout=1ns", strings.NewReader(body)))
+					switch rec.Code {
+					case http.StatusAccepted:
+						accepted.Add(1)
+						once.Do(func() { close(first) })
+					case http.StatusServiceUnavailable:
+					default:
+						t.Errorf("round %d: submit = HTTP %d %s", round, rec.Code, rec.Body)
+					}
+				}
+				once.Do(func() { close(first) })
+			}()
+		}
+		<-first
+		srv.StartDraining()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err := srv.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: drain: %v", round, err)
+		}
+		// Every job admitted before StartDraining returned has settled,
+		// and the submitters that went on met only refusals.
+		wg.Wait()
+		jobs := srv.Stats().Jobs
+		if jobs.Submitted != uint64(accepted.Load()) || jobs.Aborted != jobs.Submitted {
+			t.Fatalf("round %d: %d accepted, counters %+v; want every accepted job submitted and aborted", round, accepted.Load(), jobs)
+		}
+		checkJobsAddUp(t, jobs)
 	}
 }
 
